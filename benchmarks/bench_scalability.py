@@ -178,7 +178,6 @@ def test_emit_campaign_timing(tmp_path):
                 "interconnect_busy_batched": stats.interconnect_busy_batched,
                 "commit_cycles_batched": stats.commit_cycles_batched,
                 "redirect_cycles_batched": stats.redirect_cycles_batched,
-                "replay_walk_engaged": stats.replay_walk_engaged,
             }
         )
     kernel_stats = kernel_skip[0]
@@ -290,17 +289,17 @@ def test_emit_campaign_timing(tmp_path):
     }
 
     # Warming-throughput probe: basic blocks per second through the
-    # batched functional warmer versus the scalar reference walk, over
-    # the same probe trace's non-skip intervals. The batched walk is
-    # measured once per kernel backend (the pure-Python walk always,
-    # the compiled span path only when the extension is loaded) so the
-    # trajectory records both numbers side by side.
+    # batched functional warmer on the active kernel backend (the
+    # payload's kernel_backend) versus the scalar reference walk, over
+    # the same probe trace's non-skip intervals.
     from repro import kernels
     from repro.machine.model import get_model
-    from repro.sampling import warmer as warmer_module
-    from repro.sampling.simulator import _warm_interval
     from repro.sampling.slicer import IntervalKind, slice_traces
-    from repro.sampling.warmer import BatchedWarmer
+    from repro.sampling.warmer import (
+        BatchedWarmer,
+        core_warm_structures,
+        scalar_walk,
+    )
 
     model = get_model("acmp")
     warm_intervals = [
@@ -324,20 +323,19 @@ def test_emit_campaign_timing(tmp_path):
             best = elapsed if best is None else min(best, elapsed)
         return blocks, best
 
-    batched_blocks, batched_s = time_batched()  # active backend
-    saved_bindings = (warmer_module._native_span, warmer_module._native_warm)
-    warmer_module._native_span = None
-    warmer_module._native_warm = None
-    try:
-        _, py_batched_s = time_batched()
-    finally:
-        warmer_module._native_span, warmer_module._native_warm = (
-            saved_bindings
-        )
-    scalar_system = model.build_system(base_cfg, probe_traces)
+    batched_blocks, batched_s = time_batched()
+    scalar_structures = core_warm_structures(
+        model.build_system(base_cfg, probe_traces)
+    )
     started = time.perf_counter()
     for interval in warm_intervals:
-        _warm_interval(scalar_system, probe_traces, interval)
+        for core_id, (start, end) in enumerate(interval.spans):
+            scalar_walk(
+                scalar_structures[core_id],
+                probe_traces.threads[core_id].records,
+                start,
+                end,
+            )
     scalar_s = time.perf_counter() - started
     warming_probe = {
         "benchmark": "UA",
@@ -348,10 +346,6 @@ def test_emit_campaign_timing(tmp_path):
         "batched_blocks_per_s": round(batched_blocks / batched_s),
         "scalar_blocks_per_s": round(batched_blocks / scalar_s),
         "batched_speedup": round(scalar_s / batched_s, 3),
-        "batched_blocks_per_s_py": round(batched_blocks / py_batched_s),
-        "batched_blocks_per_s_compiled": (
-            round(batched_blocks / batched_s) if kernels.NATIVE else None
-        ),
     }
 
     # Streamed-ingest probe: the chunked on-disk trace path versus the
@@ -571,17 +565,11 @@ def test_emit_campaign_timing(tmp_path):
     assert obs_probe["overhead_metrics"] < 0.10
     assert obs_probe["timeline_events"] > 0
     assert {"warming", "measurement", "extrapolation"} <= set(phases)
-    # The batched-warming lever: the vectorised walk must outpace the
-    # scalar reference walk it is bit-identical to, on both backends.
+    # The batched-warming lever: the span kernel must outpace the
+    # scalar reference walk it is bit-identical to, on either backend.
     assert warming_probe["batched_speedup"] >= 1.5
     assert warming_probe["batched_blocks_per_s"] >= 100_000
-    assert warming_probe["batched_blocks_per_s_py"] >= 100_000
-    if kernels.NATIVE:
-        # The span kernel must beat PR 7's per-block compiled walk
-        # (711k blocks/s on this container), not merely the py path.
-        assert warming_probe["batched_blocks_per_s_compiled"] > 711_000
-        # The compiled replay walks must actually engage on every
-        # scheduler probe — the settlement paths all route through it.
-        assert all(
-            entry["replay_walk_engaged"] > 0 for entry in kernel_skip
-        )
+    if payload["kernel_backend"] == "compiled":
+        # The compiled span kernel must beat PR 7's per-block compiled
+        # walk (711k blocks/s on this container), not merely the py path.
+        assert warming_probe["batched_blocks_per_s"] > 711_000

@@ -15,18 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro import kernels
 from repro.errors import SimulationError
+from repro.kernels import (
+    REPLAY_DRAIN,
+    REPLAY_HORIZON,
+    REPLAY_NEXT,
+    REPLAY_STEPS,
+    replay_walk,
+)
 from repro.utils import require_positive
-
-#: Compiled credit-trajectory walk, or None on the pure-Python backend —
-#: the planning/settlement methods below then keep their inline loops.
-#: One entry point serves all four walks (see repro.kernels.pylib).
-_native_replay = kernels.replay_walk if kernels.NATIVE else None
-_REPLAY_NEXT = kernels.REPLAY_NEXT
-_REPLAY_HORIZON = kernels.REPLAY_HORIZON
-_REPLAY_DRAIN = kernels.REPLAY_DRAIN
-_REPLAY_STEPS = kernels.REPLAY_STEPS
 
 #: Stall categories reported in the CPI stack (Fig. 8).
 STALL_CAUSES = (
@@ -75,10 +72,6 @@ class CommitEngine:
         self._ipc = initial_ipc
         self._credit = 0.0
         self.stats = CommitStats()
-        #: Compiled trajectory walks taken (0 on the pure-Python
-        #: backend); surfaced through the kernel stats so the bench can
-        #: assert the fast path engages.
-        self.replay_walk_engaged = 0
 
     # -- instruction queue --------------------------------------------------
 
@@ -165,20 +158,10 @@ class CommitEngine:
         """
         if self._iq_count == 0:
             return None
-        if _native_replay is not None:
-            self.replay_walk_engaged += 1
-            ahead = _native_replay(
-                _REPLAY_NEXT, self._credit, self._ipc, self._iq_count,
-                cap, -1,
-            )
-            return ahead if ahead else None
-        credit = self._credit
-        ipc = self._ipc
-        for ahead in range(1, cap + 1):
-            credit += ipc
-            if credit >= 1.0:
-                return ahead
-        return None
+        ahead = replay_walk(
+            REPLAY_NEXT, self._credit, self._ipc, self._iq_count, cap, -1
+        )
+        return ahead if ahead else None
 
     def replay_horizon(self, space_needed: int = 0, cap: int = 4096) -> int | None:
         """Relative wake cycle bounding a commit-replay window.
@@ -208,23 +191,9 @@ class CommitEngine:
         if iq == 0:
             return None
         space_limit = self.iq_capacity - space_needed if space_needed else -1
-        if _native_replay is not None:
-            self.replay_walk_engaged += 1
-            return _native_replay(
-                _REPLAY_HORIZON, self._credit, self._ipc, iq, cap,
-                space_limit,
-            )
-        credit = self._credit
-        ipc = self._ipc
-        for ahead in range(1, cap + 1):
-            credit += ipc
-            commit = min(int(credit), iq)
-            if commit:
-                iq -= commit
-                credit = min(credit - commit, ipc)
-                if iq <= space_limit or iq == 0:
-                    return ahead + 1
-        return cap
+        return replay_walk(
+            REPLAY_HORIZON, self._credit, self._ipc, iq, cap, space_limit
+        )
 
     def drain_horizon(self, cap: int = 4096) -> int | None:
         """Relative cycle of the commit that empties the queue.
@@ -246,23 +215,8 @@ class CommitEngine:
         iq = self._iq_count
         if iq == 0:
             return None
-        if _native_replay is not None:
-            self.replay_walk_engaged += 1
-            drain = _native_replay(
-                _REPLAY_DRAIN, self._credit, self._ipc, iq, cap, -1,
-            )
-            return drain if drain else None
-        credit = self._credit
-        ipc = self._ipc
-        for ahead in range(1, cap + 1):
-            credit += ipc
-            commit = min(int(credit), iq)
-            if commit:
-                iq -= commit
-                credit = min(credit - commit, ipc)
-                if iq == 0:
-                    return ahead
-        return None
+        drain = replay_walk(REPLAY_DRAIN, self._credit, self._ipc, iq, cap, -1)
+        return drain if drain else None
 
     def replay_steps(self, cycles: int) -> tuple[int, int | None]:
         """Replay ``cycles`` consecutive commit/pacing steps at once.
@@ -281,46 +235,24 @@ class CommitEngine:
         replayed span (``None`` when the span was pure pacing) — the
         watchdog needs the exact cycle progress was last made.
         """
-        if _native_replay is not None:
-            self.replay_walk_engaged += 1
-            committed_total, base_cycles, last_commit, iq, credit, stalled = (
-                _native_replay(
-                    _REPLAY_STEPS, self._credit, self._ipc, self._iq_count,
-                    cycles, -1,
-                )
+        committed_total, base_cycles, last_commit, iq, credit, stalled = (
+            replay_walk(
+                REPLAY_STEPS, self._credit, self._ipc, self._iq_count,
+                cycles, -1,
             )
-            # The walk stops on a stall with the prefix state applied —
-            # the stall cycle's credit earned, no base cycle charged —
-            # exactly the state the stepped loop below raises from.
-            self._iq_count = iq
-            self._credit = credit
-            self.stats.committed += committed_total
-            self.stats.base_cycles += base_cycles
-            if stalled:
-                raise SimulationError(
-                    "commit-replay window crossed a stall boundary"
-                )
-            return committed_total, last_commit if last_commit else None
-        committed_total = 0
-        last_commit = None
-        for offset in range(1, cycles + 1):
-            self._credit += self._ipc
-            commit = min(int(self._credit), self._iq_count)
-            if commit > 0:
-                self._iq_count -= commit
-                self._credit -= commit
-                self.stats.committed += commit
-                self.stats.base_cycles += 1
-                self._credit = min(self._credit, self._ipc)
-                committed_total += commit
-                last_commit = offset
-            elif self._credit >= 1.0:
-                raise SimulationError(
-                    "commit-replay window crossed a stall boundary"
-                )
-            else:
-                self.stats.base_cycles += 1
-        return committed_total, last_commit
+        )
+        # The walk stops on a stall with the prefix state applied — the
+        # stall cycle's credit earned, no base cycle charged — exactly
+        # the state a stepped run raises from.
+        self._iq_count = iq
+        self._credit = credit
+        self.stats.committed += committed_total
+        self.stats.base_cycles += base_cycles
+        if stalled:
+            raise SimulationError(
+                "commit-replay window crossed a stall boundary"
+            )
+        return committed_total, last_commit if last_commit else None
 
     def pacing_steps(self, cycles: int) -> None:
         """Replay ``cycles`` sub-unit pacing steps at once.

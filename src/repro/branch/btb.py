@@ -4,11 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import kernels
 from repro.utils import require_power_of_two
-
-#: Compiled table probe, or None on the pure-Python backend.
-_native_probe = kernels.btb_probe if kernels.NATIVE else None
 
 
 @dataclass
@@ -40,12 +36,6 @@ class BranchTargetBuffer:
         """Predicted target for the branch at ``address``; None on BTB miss."""
         index = (address >> self._index_shift) & self._mask
         self.stats.lookups += 1
-        if _native_probe is not None:
-            target = _native_probe(self._tags, self._targets, index, address)
-            if target is None:
-                return None
-            self.stats.hits += 1
-            return target
         if self._tags[index] == address:
             self.stats.hits += 1
             return self._targets[index]

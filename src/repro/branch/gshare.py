@@ -2,13 +2,8 @@
 
 from __future__ import annotations
 
-from repro import kernels
 from repro.branch.base import DirectionPredictor, saturating_update
 from repro.utils import log2_int, require_power_of_two
-
-#: Compiled training step, or None on the pure-Python backend (the
-#: update below then keeps its original inline arithmetic).
-_native_update = kernels.gshare_update if kernels.NATIVE else None
 
 
 class GsharePredictor(DirectionPredictor):
@@ -45,16 +40,6 @@ class GsharePredictor(DirectionPredictor):
         return self._counters[self._index(address)] >= 2
 
     def update(self, address: int, taken: bool) -> None:
-        if _native_update is not None:
-            self._history = _native_update(
-                self._counters,
-                self._history,
-                self._mask,
-                self._index_shift,
-                address,
-                taken,
-            )
-            return
         index = self._index(address)
         self._counters[index] = saturating_update(self._counters[index], taken)
         self._history = ((self._history << 1) | int(taken)) & self._mask

@@ -20,11 +20,9 @@ that silently read the other engine's cache entry would verify nothing,
 so the flavors never share an entry. Sampled runs get a ``__samp-<plan>``
 suffix for the same reason with the opposite sign: a sampled result is
 an *extrapolation*, and serving it to a caller that asked for a full
-run (or vice versa) would silently change result semantics. Stores
-written before the machine axis existed used ``<root>/<benchmark>/...``
-with no machine directory; those entries remain readable as
-``acmp``/scheduled-engine/full-simulation results (the only flavor that
-existed), and new writes always use the namespaced layout.
+run (or vice versa) would silently change result semantics. Files
+outside the ``<machine>/<benchmark>/`` layout are not entries: a store
+never reads them.
 
 Labels are sanitised for the filesystem (``::`` and other separators
 become ``-``); the authoritative key is stored inside the JSON payload
@@ -97,11 +95,7 @@ def _entry_identity(entry: dict) -> tuple[RunKey, tuple[str, str]]:
 
 def _normalize_key(raw: object) -> RunKey | None:
     """Rebuild a :data:`RunKey` from a stored payload header."""
-    if not isinstance(raw, list):
-        return None
-    if len(raw) == 4:  # pre-machine-axis payload: implicitly acmp
-        raw = [_LEGACY_MACHINE, *raw]
-    if len(raw) != 5:
+    if not isinstance(raw, list) or len(raw) != 5:
         return None
     machine, benchmark, label, seed, scale = raw
     return (str(machine), str(benchmark), str(label), int(seed), float(scale))
@@ -140,29 +134,10 @@ class ResultStore:
             / self._filename(spec)
         )
 
-    def _legacy_path(self, spec: RunSpec) -> Path | None:
-        """Pre-machine-axis location, readable for acmp scheduled runs."""
-        if (
-            spec.machine != _LEGACY_MACHINE
-            or not spec.cycle_skip
-            or spec.sampling
-        ):
-            return None
-        return self.root / _sanitize(spec.benchmark) / self._filename(spec)
-
-    def _existing_path(self, spec: RunSpec) -> Path | None:
-        path = self.path_for(spec)
-        if path.exists():
-            return path
-        legacy = self._legacy_path(spec)
-        if legacy is not None and legacy.exists():
-            return legacy
-        return None
-
     # -- access ------------------------------------------------------------
 
     def __contains__(self, spec: RunSpec) -> bool:
-        return self._existing_path(spec) is not None
+        return self.path_for(spec).exists()
 
     def get(self, spec: RunSpec) -> SimulationResult | None:
         """Load the stored result for ``spec``, or None when absent."""
@@ -181,8 +156,8 @@ class ResultStore:
         return result
 
     def _get(self, spec: RunSpec) -> SimulationResult | None:
-        path = self._existing_path(spec)
-        if path is None:
+        path = self.path_for(spec)
+        if not path.exists():
             return None
         try:
             payload = json.loads(path.read_text())
@@ -275,10 +250,7 @@ class ResultStore:
     # -- maintenance ---------------------------------------------------------
 
     def _entry_paths(self) -> list[Path]:
-        # New layout: <machine>/<benchmark>/<file>; legacy: <benchmark>/<file>.
-        return sorted(
-            set(self.root.glob("*/*/*.json")) | set(self.root.glob("*/*.json"))
-        )
+        return sorted(self.root.glob("*/*/*.json"))
 
     def payloads(self) -> list[dict]:
         """Every readable entry payload, in deterministic path order.

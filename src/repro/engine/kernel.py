@@ -139,11 +139,6 @@ class KernelStats:
     #: settling the whole span at the fetch-resume cycle); aggregated
     #: by the simulator after the run.
     redirect_cycles_batched: int = 0
-    #: Commit-trajectory walks (planning + settlement) taken by the
-    #: compiled ``replay_walk`` kernel instead of the interpreted loop;
-    #: 0 on the pure-Python backend. Aggregated by the simulator after
-    #: the run.
-    replay_walk_engaged: int = 0
 
     @property
     def total_cycles(self) -> int:

@@ -1,30 +1,29 @@
-"""Hot-structure kernels: an optional compiled backend with a pure spec.
+"""Hot-loop kernels: one pure-Python backend and one compiled mirror.
 
-The timing hot paths — set-associative tag probes
-(:mod:`repro.cache.set_assoc`), gshare/BTB table updates
-(:mod:`repro.branch`) and the batched functional-warming line walk
-(:mod:`repro.sampling.warmer`) — are plain loops over Python lists.
-This package provides them twice:
+Two loops dominate once the timing model is out of the way: the
+functional-warming walk of one thread's span through the line buffers,
+the I-side caches and the fetch predictors (:func:`warm_span`, called
+by :class:`~repro.sampling.warmer.BatchedWarmer`), and the commit
+engine's deterministic float credit walk (:func:`replay_walk`, called
+by :class:`~repro.backend.backend.CommitEngine`). Consumers call these
+two entry points unconditionally; this package binds them once at
+import to one of two backends:
 
-* :mod:`repro.kernels.pylib` — the pure-Python reference
-  implementations. Always available; they *are* the contract the
-  compiled backend is tested against.
+* :mod:`repro.kernels.pylib` — the pure-Python implementations. Always
+  available; they are the ``py`` backend's production path and the
+  specification the compiled backend is tested against.
 * ``repro.kernels._native`` — a hand-written C extension built by
   ``python -m repro.kernels.build`` (any C compiler; no third-party
-  packages). Bit-identical to ``pylib`` on every operation, enforced by
+  packages). Bit-identical to ``pylib`` on every input, enforced by
   :mod:`tests.test_kernels` and the CI compiled-vs-python matrix leg.
 
-Selection happens once at import: the native module is used when its
-shared object is present, otherwise the pure-Python fallback — the
-compiler is never a hard dependency. The ``REPRO_KERNELS`` environment
-variable overrides the choice: ``py`` forces the fallback even when the
-extension is built; ``compiled`` demands the extension and raises
-:class:`~repro.errors.ConfigurationError` when it is missing (so CI
-legs cannot silently test the wrong backend).
-
-Consumers branch on :data:`NATIVE` at *their* import time and keep
-their original inline loops when it is False, so the pure-Python path
-pays no extra call indirection for the abstraction.
+The native module is used when its shared object is present, otherwise
+``pylib`` — the compiler is never a hard dependency. The
+``REPRO_KERNELS`` environment variable overrides the choice: ``py``
+forces ``pylib`` even when the extension is built; ``compiled`` demands
+the extension and raises :class:`~repro.errors.ConfigurationError` when
+it is missing or stale (so CI legs cannot silently test the wrong
+backend).
 """
 
 from __future__ import annotations
@@ -38,10 +37,6 @@ from repro.kernels import pylib
 __all__ = [
     "NATIVE",
     "backend_name",
-    "find_way",
-    "gshare_update",
-    "btb_probe",
-    "warm_lines",
     "warm_span",
     "replay_walk",
     "REPLAY_NEXT",
@@ -69,7 +64,9 @@ if _REQUESTED != "py":
     else:
         # A stale build from before an entry point was added must not
         # half-engage: either the whole surface is native or none of it.
-        if not hasattr(_native, "replay_walk"):
+        if not all(
+            hasattr(_native, name) for name in ("warm_span", "replay_walk")
+        ):
             if _REQUESTED == "compiled":
                 raise ConfigurationError(
                     "REPRO_KERNELS=compiled but the built extension is "
@@ -88,20 +85,9 @@ REPLAY_HORIZON = pylib.REPLAY_HORIZON
 REPLAY_DRAIN = pylib.REPLAY_DRAIN
 REPLAY_STEPS = pylib.REPLAY_STEPS
 
-if NATIVE:
-    find_way = _native.find_way
-    gshare_update = _native.gshare_update
-    btb_probe = _native.btb_probe
-    warm_lines = _native.warm_lines
-    warm_span = _native.warm_span
-    replay_walk = _native.replay_walk
-else:
-    find_way = pylib.find_way
-    gshare_update = pylib.gshare_update
-    btb_probe = pylib.btb_probe
-    warm_lines = pylib.warm_lines
-    warm_span = pylib.warm_span
-    replay_walk = pylib.replay_walk
+_impl = _native if NATIVE else pylib
+warm_span = _impl.warm_span
+replay_walk = _impl.replay_walk
 
 
 def backend_name() -> str:

@@ -1,9 +1,10 @@
 /* Compiled hot-structure kernels.
  *
- * Bit-identical C implementations of repro.kernels.pylib: first-match
- * scans, first-minimum victim tie-breaks, lazy LRU order-list
- * materialization. All tables stay ordinary Python lists of ints (or
- * None for invalid ways), so capture/restore of warm state and every
+ * Bit-identical C implementations of the two repro.kernels.pylib entry
+ * points, warm_span and replay_walk: first-match scans, first-minimum
+ * victim tie-breaks, lazy LRU order-list materialization, float credit
+ * additions. All tables stay ordinary Python lists of ints (or None for
+ * invalid ways), so capture/restore of warm state and every
  * pure-Python consumer keep working unchanged; the speedup comes from
  * replacing interpreter dispatch on the innermost loops, not from a
  * parallel storage format.
@@ -115,78 +116,6 @@ order_touch(PyObject *order, long long way)
     return 0;
 }
 
-/* find_way(row, target) -> first index or -1; target is int or None. */
-static PyObject *
-kernels_find_way(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 2 || !PyList_Check(args[0])) {
-        PyErr_SetString(PyExc_TypeError, "find_way(row: list, target)");
-        return NULL;
-    }
-    if (args[1] == Py_None) {
-        return PyLong_FromSsize_t(list_find_none(args[0]));
-    }
-    long long value = PyLong_AsLongLong(args[1]);
-    if (value == -1 && PyErr_Occurred()) {
-        return NULL;
-    }
-    return PyLong_FromSsize_t(list_find_ll(args[0], value));
-}
-
-/* gshare_update(counters, history, mask, shift, address, taken) -> history */
-static PyObject *
-kernels_gshare_update(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 6 || !PyList_Check(args[0])) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "gshare_update(counters, history, mask, shift, address, taken)");
-        return NULL;
-    }
-    long long history = PyLong_AsLongLong(args[1]);
-    long long mask = PyLong_AsLongLong(args[2]);
-    long long shift = PyLong_AsLongLong(args[3]);
-    long long address = PyLong_AsLongLong(args[4]);
-    int taken = PyObject_IsTrue(args[5]);
-    if (taken < 0 || PyErr_Occurred()) {
-        return NULL;
-    }
-    Py_ssize_t index = (Py_ssize_t)(((address >> shift) ^ history) & mask);
-    long long counter =
-        PyLong_AsLongLong(PyList_GET_ITEM(args[0], index));
-    if (taken) {
-        if (counter < 3 && list_set_ll(args[0], index, counter + 1) < 0) {
-            return NULL;
-        }
-    } else if (counter > 0 && list_set_ll(args[0], index, counter - 1) < 0) {
-        return NULL;
-    }
-    return PyLong_FromLongLong(((history << 1) | (taken ? 1 : 0)) & mask);
-}
-
-/* btb_probe(tags, targets, index, address) -> target or None */
-static PyObject *
-kernels_btb_probe(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 4 || !PyList_Check(args[0]) || !PyList_Check(args[1])) {
-        PyErr_SetString(PyExc_TypeError,
-                        "btb_probe(tags, targets, index, address)");
-        return NULL;
-    }
-    Py_ssize_t index = PyLong_AsSsize_t(args[2]);
-    long long address = PyLong_AsLongLong(args[3]);
-    if (PyErr_Occurred()) {
-        return NULL;
-    }
-    PyObject *tag = PyList_GET_ITEM(args[0], index);
-    if (PyLong_Check(tag) && PyLong_AsLongLong(tag) == address) {
-        PyObject *target = PyList_GET_ITEM(args[1], index);
-        Py_INCREF(target);
-        return target;
-    }
-    Py_RETURN_NONE;
-}
-
 /* The shared lb/L1/L2 warm tables of one core, bound once per call so
  * the per-line helper below keeps a flat signature. */
 typedef struct {
@@ -209,7 +138,7 @@ typedef struct {
 } warm_tables;
 
 /* One line through the line buffers, then L1I and L2 on misses —
- * the per-line body of pylib.warm_lines/warm_span, statement for
+ * the per-line body of pylib.warm_span, statement for
  * statement (first-match scans, first-minimum victims, lazy order
  * lists). Returns 0, or -1 with an exception set. */
 static int
@@ -347,60 +276,7 @@ itlb_step(PyObject *t_map, PyObject *t_seen, long long *t_clock,
     return rc;
 }
 
-/* warm_lines(line, end_address, line_bytes,
- *            lb_lines, lb_uses, lb_clock,
- *            l1_tags, l1_order, l1_ways, l1_shift, l1_set_mask, l1_seen,
- *            l2_tags, l2_order, l2_ways, l2_shift, l2_set_mask, l2_seen)
- *   -> new lb_clock
- * Mirrors pylib.warm_lines statement for statement. */
-static PyObject *
-kernels_warm_lines(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 18) {
-        PyErr_SetString(PyExc_TypeError, "warm_lines expects 18 arguments");
-        return NULL;
-    }
-    long long line = PyLong_AsLongLong(args[0]);
-    long long end_address = PyLong_AsLongLong(args[1]);
-    long long line_bytes = PyLong_AsLongLong(args[2]);
-    warm_tables t;
-    t.lb_lines = args[3];
-    t.lb_uses = args[4];
-    t.lb_clock = PyLong_AsLongLong(args[5]);
-    t.l1_tags = args[6];
-    t.l1_order = args[7];
-    t.l1_ways = PyLong_AsSsize_t(args[8]);
-    t.l1_shift = PyLong_AsLongLong(args[9]);
-    t.l1_set_mask = PyLong_AsLongLong(args[10]);
-    t.l1_seen = args[11];
-    t.l2_tags = args[12];
-    t.l2_order = args[13];
-    t.l2_ways = PyLong_AsSsize_t(args[14]);
-    t.l2_shift = PyLong_AsLongLong(args[15]);
-    t.l2_set_mask = PyLong_AsLongLong(args[16]);
-    t.l2_seen = args[17];
-    if (PyErr_Occurred()) {
-        return NULL;
-    }
-    if (!PyList_Check(t.lb_lines) || !PyList_Check(t.lb_uses) ||
-        !PyList_Check(t.l1_tags) || !PyList_Check(t.l1_order) ||
-        !PyList_Check(t.l2_tags) || !PyList_Check(t.l2_order) ||
-        !PySet_Check(t.l1_seen) || !PySet_Check(t.l2_seen)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "warm_lines table arguments must be lists/sets");
-        return NULL;
-    }
-    t.lb_n = PyList_GET_SIZE(t.lb_lines);
-
-    for (; line < end_address; line += line_bytes) {
-        if (warm_one_line(&t, line) < 0) {
-            return NULL;
-        }
-    }
-    return PyLong_FromLongLong(t.lb_clock);
-}
-
-/* warm_span(bstart, bend, line_bytes,
+/* warm_span(line_bytes,
  *           starts, counts, kinds, keys, targets, takens,
  *           lb_lines, lb_uses, lb_clock,
  *           l1_tags, l1_order, l1_ways, l1_shift, l1_set_mask, l1_seen,
@@ -416,54 +292,52 @@ kernels_warm_lines(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 static PyObject *
 kernels_warm_span(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 43) {
-        PyErr_SetString(PyExc_TypeError, "warm_span expects 43 arguments");
+    if (nargs != 41) {
+        PyErr_SetString(PyExc_TypeError, "warm_span expects 41 arguments");
         return NULL;
     }
-    Py_ssize_t bstart = PyLong_AsSsize_t(args[0]);
-    Py_ssize_t bend = PyLong_AsSsize_t(args[1]);
-    long long line_bytes = PyLong_AsLongLong(args[2]);
-    PyObject *starts = args[3];
-    PyObject *counts = args[4];
-    PyObject *kinds = args[5];
-    PyObject *keys = args[6];
-    PyObject *targets = args[7];
-    PyObject *takens = args[8];
+    long long line_bytes = PyLong_AsLongLong(args[0]);
+    PyObject *starts = args[1];
+    PyObject *counts = args[2];
+    PyObject *kinds = args[3];
+    PyObject *keys = args[4];
+    PyObject *targets = args[5];
+    PyObject *takens = args[6];
     warm_tables t;
-    t.lb_lines = args[9];
-    t.lb_uses = args[10];
-    t.lb_clock = PyLong_AsLongLong(args[11]);
-    t.l1_tags = args[12];
-    t.l1_order = args[13];
-    t.l1_ways = PyLong_AsSsize_t(args[14]);
-    t.l1_shift = PyLong_AsLongLong(args[15]);
-    t.l1_set_mask = PyLong_AsLongLong(args[16]);
-    t.l1_seen = args[17];
-    t.l2_tags = args[18];
-    t.l2_order = args[19];
-    t.l2_ways = PyLong_AsSsize_t(args[20]);
-    t.l2_shift = PyLong_AsLongLong(args[21]);
-    t.l2_set_mask = PyLong_AsLongLong(args[22]);
-    t.l2_seen = args[23];
-    PyObject *g_counters = args[24];
-    long long g_history = PyLong_AsLongLong(args[25]);
-    long long g_mask = PyLong_AsLongLong(args[26]);
-    long long g_shift = PyLong_AsLongLong(args[27]);
-    PyObject *lp_tags = args[28];
-    PyObject *lp_trips = args[29];
-    PyObject *lp_currents = args[30];
-    PyObject *lp_conf = args[31];
-    long long lp_mask = PyLong_AsLongLong(args[32]);
-    long long lp_shift = PyLong_AsLongLong(args[33]);
-    PyObject *b_tags = args[34];
-    PyObject *b_targets = args[35];
-    long long b_mask = PyLong_AsLongLong(args[36]);
-    long long b_shift = PyLong_AsLongLong(args[37]);
-    PyObject *t_map = args[38];
-    PyObject *t_seen = args[39];
-    long long t_clock = PyLong_AsLongLong(args[40]);
-    long long t_shift = PyLong_AsLongLong(args[41]);
-    Py_ssize_t t_capacity = PyLong_AsSsize_t(args[42]);
+    t.lb_lines = args[7];
+    t.lb_uses = args[8];
+    t.lb_clock = PyLong_AsLongLong(args[9]);
+    t.l1_tags = args[10];
+    t.l1_order = args[11];
+    t.l1_ways = PyLong_AsSsize_t(args[12]);
+    t.l1_shift = PyLong_AsLongLong(args[13]);
+    t.l1_set_mask = PyLong_AsLongLong(args[14]);
+    t.l1_seen = args[15];
+    t.l2_tags = args[16];
+    t.l2_order = args[17];
+    t.l2_ways = PyLong_AsSsize_t(args[18]);
+    t.l2_shift = PyLong_AsLongLong(args[19]);
+    t.l2_set_mask = PyLong_AsLongLong(args[20]);
+    t.l2_seen = args[21];
+    PyObject *g_counters = args[22];
+    long long g_history = PyLong_AsLongLong(args[23]);
+    long long g_mask = PyLong_AsLongLong(args[24]);
+    long long g_shift = PyLong_AsLongLong(args[25]);
+    PyObject *lp_tags = args[26];
+    PyObject *lp_trips = args[27];
+    PyObject *lp_currents = args[28];
+    PyObject *lp_conf = args[29];
+    long long lp_mask = PyLong_AsLongLong(args[30]);
+    long long lp_shift = PyLong_AsLongLong(args[31]);
+    PyObject *b_tags = args[32];
+    PyObject *b_targets = args[33];
+    long long b_mask = PyLong_AsLongLong(args[34]);
+    long long b_shift = PyLong_AsLongLong(args[35]);
+    PyObject *t_map = args[36];
+    PyObject *t_seen = args[37];
+    long long t_clock = PyLong_AsLongLong(args[38]);
+    long long t_shift = PyLong_AsLongLong(args[39]);
+    Py_ssize_t t_capacity = PyLong_AsSsize_t(args[40]);
     if (PyErr_Occurred()) {
         return NULL;
     }
@@ -484,13 +358,19 @@ kernels_warm_span(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                         "warm_span table arguments must be lists/sets/dicts");
         return NULL;
     }
-    if (bstart < 0 || bend > PyList_GET_SIZE(starts)) {
-        PyErr_SetString(PyExc_IndexError, "warm_span block range out of bounds");
+    Py_ssize_t blocks = PyList_GET_SIZE(starts);
+    if (PyList_GET_SIZE(counts) != blocks ||
+        PyList_GET_SIZE(kinds) != blocks ||
+        PyList_GET_SIZE(keys) != blocks ||
+        PyList_GET_SIZE(targets) != blocks ||
+        PyList_GET_SIZE(takens) != blocks) {
+        PyErr_SetString(PyExc_ValueError,
+                        "warm_span span columns differ in length");
         return NULL;
     }
     t.lb_n = PyList_GET_SIZE(t.lb_lines);
 
-    for (Py_ssize_t index = bstart; index < bend; index++) {
+    for (Py_ssize_t index = 0; index < blocks; index++) {
         long long line = PyLong_AsLongLong(PyList_GET_ITEM(starts, index));
         long long count = PyLong_AsLongLong(PyList_GET_ITEM(counts, index));
         for (long long i = 0; i < count; i++) {
@@ -681,14 +561,6 @@ kernels_replay_walk(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 static PyMethodDef kernels_methods[] = {
-    {"find_way", (PyCFunction)kernels_find_way, METH_FASTCALL,
-     "First index of target in row, or -1."},
-    {"gshare_update", (PyCFunction)kernels_gshare_update, METH_FASTCALL,
-     "One gshare training step; returns the new history."},
-    {"btb_probe", (PyCFunction)kernels_btb_probe, METH_FASTCALL,
-     "Tagged BTB probe; returns the target or None."},
-    {"warm_lines", (PyCFunction)kernels_warm_lines, METH_FASTCALL,
-     "Warm one basic block's lines through lb/L1/L2."},
     {"warm_span", (PyCFunction)kernels_warm_span, METH_FASTCALL,
      "Warm a whole encoded span: iTLB + lb/L1/L2 + branch structures."},
     {"replay_walk", (PyCFunction)kernels_replay_walk, METH_FASTCALL,

@@ -1,25 +1,20 @@
-"""Pure-Python kernel reference implementations.
+"""Pure-Python kernels: the ``py`` backend and the compiled spec.
 
-These functions define the exact semantics the compiled backend
-(``repro.kernels._native``) must reproduce bit for bit — first-match
-scans, first-minimum victim tie-breaks, lazy LRU order-list
-materialization, insertion order of the seen-sets. The equivalence
-tests run both backends over the same randomized operation streams and
-compare final table states.
-
-Production pure-Python code paths keep their original inline loops
-(:mod:`repro.cache.set_assoc`, :mod:`repro.sampling.warmer`) rather
-than calling through here, so the fallback pays no extra function-call
-overhead; this module is the specification and the test oracle.
+These functions are what the pure-Python backend runs in production —
+:class:`repro.sampling.warmer.BatchedWarmer` and
+:class:`repro.backend.backend.CommitEngine` call them through
+:mod:`repro.kernels` unconditionally — and they define the exact
+semantics the compiled backend (``repro.kernels._native``) must
+reproduce bit for bit: first-match scans, first-minimum victim
+tie-breaks, lazy LRU order-list materialization, insertion order of the
+seen-sets, float credit additions. The equivalence tests run both
+backends over the same randomized inputs and compare final table
+states.
 """
 
 from __future__ import annotations
 
 __all__ = [
-    "find_way",
-    "gshare_update",
-    "btb_probe",
-    "warm_lines",
     "warm_span",
     "replay_walk",
     "REPLAY_NEXT",
@@ -37,156 +32,7 @@ REPLAY_DRAIN = 2  # drain_horizon: exact queue-empty cycle, else none
 REPLAY_STEPS = 3  # replay_steps: settle a span, return the new state
 
 
-def find_way(row: list, target) -> int:
-    """First index of ``target`` in ``row``, or -1 when absent.
-
-    ``target`` is a line address or ``None`` (an invalid way); matches
-    ``list.index`` semantics with the exception swallowed.
-    """
-    try:
-        return row.index(target)
-    except ValueError:
-        return -1
-
-
-def gshare_update(
-    counters: list[int],
-    history: int,
-    mask: int,
-    shift: int,
-    address: int,
-    taken: bool,
-) -> int:
-    """One gshare training step; returns the new global history.
-
-    Saturates the 2-bit counter at ``(address >> shift) ^ history``
-    (masked) toward ``taken`` and shifts the outcome into the history —
-    exactly :meth:`repro.branch.gshare.GsharePredictor.update`.
-    """
-    index = ((address >> shift) ^ history) & mask
-    counter = counters[index]
-    if taken:
-        if counter < 3:
-            counters[index] = counter + 1
-    elif counter > 0:
-        counters[index] = counter - 1
-    return ((history << 1) | (1 if taken else 0)) & mask
-
-
-def btb_probe(tags: list[int], targets: list[int], index: int, address: int):
-    """Tagged direct-mapped BTB probe: the stored target, or ``None``."""
-    if tags[index] == address:
-        return targets[index]
-    return None
-
-
-def warm_lines(
-    line: int,
-    end_address: int,
-    line_bytes: int,
-    lb_lines: list,
-    lb_uses: list[int],
-    lb_clock: int,
-    l1_tags: list[list],
-    l1_order: list,
-    l1_ways: int,
-    l1_shift: int,
-    l1_set_mask: int,
-    l1_seen: set[int],
-    l2_tags: list[list],
-    l2_order: list,
-    l2_ways: int,
-    l2_shift: int,
-    l2_set_mask: int,
-    l2_seen: set[int],
-) -> int:
-    """Functionally warm one basic block's lines through lb/L1/L2.
-
-    The :class:`~repro.sampling.warmer.BatchedWarmer` inner line walk
-    for one block, factored to a flat argument list so the compiled
-    backend can replace it wholesale: probe the flattened line buffers
-    (first-minimum LRU victim on miss), then the LRU L1 tag rows, then
-    the LRU L2, materializing lazy order lists exactly like
-    :class:`~repro.cache.replacement.LruPolicy`. Branch-predictor and
-    iTLB warm state are independent structures and stay with the
-    caller. Returns the advanced line-buffer clock; all tables are
-    mutated in place.
-    """
-    lb_range = range(len(lb_lines))
-    lb_uses_get = lb_uses.__getitem__
-    while line < end_address:
-        lb_clock += 1
-        for slot in lb_range:
-            if lb_lines[slot] == line:
-                lb_uses[slot] = lb_clock
-                break
-        else:
-            victim = min(lb_range, key=lb_uses_get)
-            lb_clock += 1
-            lb_lines[victim] = line
-            lb_uses[victim] = lb_clock
-            set_index = (line >> l1_shift) & l1_set_mask
-            row = l1_tags[set_index]
-            try:
-                way = row.index(line)
-                hit = True
-            except ValueError:
-                hit = False
-            if hit:
-                order = l1_order[set_index]
-                if order is None:
-                    order = list(range(l1_ways))
-                    l1_order[set_index] = order
-                order.remove(way)
-                order.append(way)
-            else:
-                try:
-                    way = row.index(None)
-                except ValueError:
-                    order = l1_order[set_index]
-                    if order is None:
-                        order = list(range(l1_ways))
-                        l1_order[set_index] = order
-                    way = order[0]
-                row[way] = line
-                order = l1_order[set_index]
-                if order is None:
-                    order = list(range(l1_ways))
-                    l1_order[set_index] = order
-                order.remove(way)
-                order.append(way)
-                l1_seen.add(line)
-                l2_set = (line >> l2_shift) & l2_set_mask
-                l2_row = l2_tags[l2_set]
-                try:
-                    l2_way = l2_row.index(line)
-                    l2_hit = True
-                except ValueError:
-                    l2_hit = False
-                if not l2_hit:
-                    try:
-                        l2_way = l2_row.index(None)
-                    except ValueError:
-                        order = l2_order[l2_set]
-                        if order is None:
-                            order = list(range(l2_ways))
-                            l2_order[l2_set] = order
-                        l2_way = order[0]
-                    l2_row[l2_way] = line
-                    l2_seen.add(line)
-                order = l2_order[l2_set]
-                if order is None:
-                    order = list(range(l2_ways))
-                    l2_order[l2_set] = order
-                order.remove(l2_way)
-                order.append(l2_way)
-        line += line_bytes
-    return lb_clock
-
-
 def warm_span(
-    bstart: int,
-    bend: int,
     line_bytes: int,
     starts: list[int],
     counts: list[int],
@@ -229,29 +75,30 @@ def warm_span(
     t_shift: int,
     t_capacity: int,
 ) -> tuple[int, int, int]:
-    """Functionally warm a whole encoded span in one call.
+    """Functionally warm one encoded span in one call.
 
-    The :class:`~repro.sampling.warmer.BatchedWarmer` span walk,
-    batched: blocks ``[bstart, bend)`` of one thread's flat span
-    encoding (``starts``/``counts`` give each block's first line
-    address and line count; ``kinds``/``keys``/``targets``/``takens``
-    its terminating branch — kind 0 trains nothing, 1 is conditional,
-    2 is indirect) walk the iTLB, the line buffers and the LRU L1I/L2
-    per line, then the gshare, loop-predictor and BTB updates per
-    block — exactly the per-structure operation sequences of the
-    scalar walk, including LRU tie-breaks, seen-set/translation
-    insertion order and clock bumps. ``t_map=None`` skips the iTLB (a
-    core without one). Returns ``(lb_clock, g_history, t_clock)``; all
-    tables are mutated in place.
+    The :class:`~repro.sampling.warmer.BatchedWarmer` span walk: the
+    blocks of one thread's flat span encoding (``starts``/``counts``
+    give each block's first line address and line count;
+    ``kinds``/``keys``/``targets``/``takens`` its terminating branch —
+    kind 0 trains nothing, 1 is conditional, 2 is indirect) walk the
+    iTLB, the line buffers and the LRU L1I/L2 per line, then the
+    gshare, loop-predictor and BTB updates per block — exactly the
+    per-structure operation sequences of the scalar walk, including
+    LRU tie-breaks, seen-set/translation insertion order and clock
+    bumps. ``t_map=None`` skips the iTLB (a core without one). Returns
+    ``(lb_clock, g_history, t_clock)``; all tables are mutated in
+    place.
     """
     lb_range = range(len(lb_lines))
     lb_uses_get = lb_uses.__getitem__
     have_itlb = t_map is not None
     if have_itlb:
         t_map_get = t_map.__getitem__
-    for index in range(bstart, bend):
-        line = starts[index]
-        for _ in range(counts[index]):
+    for line, count, kind, address, target, taken in zip(
+        starts, counts, kinds, keys, targets, takens
+    ):
+        for _ in range(count):
             if have_itlb:
                 page = line >> t_shift
                 t_clock += 1
@@ -328,10 +175,7 @@ def warm_span(
                     order.remove(l2_way)
                     order.append(l2_way)
             line += line_bytes
-        kind = kinds[index]
         if kind == 1:
-            address = keys[index]
-            taken = takens[index]
             gi = ((address >> g_shift) ^ g_history) & g_mask
             counter = g_counters[gi]
             if taken:
@@ -361,10 +205,9 @@ def warm_span(
                     lp_conf[lp_index] = 0
                 lp_currents[lp_index] = 0
         elif kind == 2:
-            address = keys[index]
             bi = (address >> b_shift) & b_mask
             b_tags[bi] = address
-            b_targets[bi] = targets[index]
+            b_targets[bi] = target
     return lb_clock, g_history, t_clock
 
 

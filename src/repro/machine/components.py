@@ -76,10 +76,9 @@ The planning walks (``cycles_to_next_commit``, ``replay_horizon``,
 ``drain_horizon``) and both batched settlements (commit replay and the
 redirect replay's phase-1 drain, via ``replay_steps``) all reduce to the
 :class:`~repro.backend.backend.CommitEngine`'s deterministic float
-credit trajectory; on the compiled kernel backend each walk runs as one
-``repro.kernels.replay_walk`` call (bit-identical float additions), and
-the calls taken are surfaced through
-:attr:`~repro.engine.kernel.KernelStats.replay_walk_engaged`.
+credit trajectory, and each walk runs as one
+``repro.kernels.replay_walk`` call (bit-identical float additions on
+both kernel backends).
 
 :class:`GroupInterconnectComponent` additionally batches **busy-cycle
 accounting**: a bus occupied by an in-flight transfer does nothing per

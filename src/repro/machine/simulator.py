@@ -101,10 +101,6 @@ class SystemSimulator:
             state.redirect_cycles_batched
             for state in self.system.schedule_states
         )
-        self.kernel.stats.replay_walk_engaged += sum(
-            core.backend.replay_walk_engaged
-            for core in self.system.cores
-        )
 
     def run_metrics(self) -> MetricsRegistry:
         """The run's :class:`KernelStats` as labelled ``kernel.*``

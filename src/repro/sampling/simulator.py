@@ -50,7 +50,6 @@ from __future__ import annotations
 import time
 from dataclasses import fields
 
-from repro.cache.line_buffer import LookupState
 from repro.errors import SimulationError
 from repro.machine.config import BaseMachineConfig
 from repro.machine.results import CacheGroupResult, CoreResult, SimulationResult
@@ -91,51 +90,6 @@ __all__ = ["SampledSimulator", "simulate_sampled"]
 #: identities.
 _TRANSIENT_MEMO: dict[tuple, int] = {}
 _TRANSIENT_MEMO_LIMIT = 256
-
-
-def _warm_interval(system: System, traces: TraceSet, interval: Interval) -> None:
-    """Functionally warm one interval's records on ``system``.
-
-    The *scalar reference walk*: trace-walks each thread's span through
-    the thread's front-end warm structures and its cache group, in core
-    order — iTLB translation and line-buffer lookup per line, L1I and
-    L2 fills on misses, fetch predictor training per block. No cycles
-    pass and no results are read from this system — only its warm state
-    matters. Production warming goes through the bit-identical (and
-    much faster) :class:`~repro.sampling.warmer.BatchedWarmer`; this
-    walk is the specification the warmer is tested against.
-    """
-    hardware_by_group = {
-        id(hardware.group): hardware for hardware in system.group_hardware
-    }
-    line_bytes = system.config.icache_line_bytes
-    for core in system.cores:
-        start, end = interval.spans[core.core_id]
-        if start == end:
-            continue
-        frontend = core.frontend
-        buffers = frontend.line_buffers
-        predictor = frontend.predictor
-        itlb = frontend.itlb
-        hardware = hardware_by_group[id(core.cache_group)]
-        cache = hardware.cache
-        l2 = hardware.hierarchy.l2
-        records = traces.threads[core.core_id].records
-        for record in records[start:end]:
-            if not isinstance(record, BasicBlockRecord):
-                continue
-            line = record.address & ~(line_bytes - 1)
-            end_address = record.end_address
-            while line < end_address:
-                if itlb is not None:
-                    itlb.translate(line)
-                if buffers.lookup(line, count=False) is LookupState.MISS:
-                    buffers.allocate(line)
-                    buffers.fill(line)
-                    if not cache.access(line).hit:
-                        l2.access(line)
-                line += line_bytes
-            predictor.resolve(record.branch_address, record.branch)
 
 
 def _transient_probe(traces: TraceSet, copies: int) -> TraceSet:
@@ -418,9 +372,7 @@ class SampledSimulator:
                 entry_ipc=tuple(None for _ in probe.threads),
                 instructions=0,
             )
-            # Bit-identical to the scalar _warm_interval reference walk,
-            # but through the batched (and compiled, when built) path —
-            # the same walk production warming takes.
+            # The same batched walk production warming takes.
             BatchedWarmer(system, probe).warm_interval(full)
             return SystemSimulator(
                 system, cycle_skip=self.cycle_skip

@@ -1,7 +1,6 @@
 """Tests for the campaign layer: specs, the JSON store, and the runner."""
 
 import json
-import shutil
 import threading
 
 import pytest
@@ -117,75 +116,27 @@ class TestResultStore:
             store.get(spec_cold)
 
 
-class TestStoreLegacyFallback:
-    """Pre-machine-axis entries stay readable — for acmp scheduled runs
-    only, and only when no namespaced entry shadows them."""
-
-    def _relocate_to_legacy(self, store, spec):
-        """Move a namespaced entry to the pre-machine-axis location."""
-        path = store.path_for(spec)
-        legacy = store.root / spec.benchmark / path.name
-        legacy.parent.mkdir(parents=True, exist_ok=True)
-        shutil.move(path, legacy)
-        return legacy
-
-    def test_legacy_entry_served_for_acmp_scheduled(self, tmp_path):
+class TestStoreLegacyLayout:
+    def test_entry_outside_machine_layout_is_a_miss(self, tmp_path):
+        """A pre-machine-axis entry at ``<root>/<benchmark>/<file>`` —
+        even a complete one under the spec's own filename — is never
+        read: a miss for ``in`` and ``get``, absent from ``keys()``."""
         spec = _tiny_spec()
-        result = execute_run(spec)
         store = ResultStore(tmp_path)
-        store.put(spec, result)
-        self._relocate_to_legacy(store, spec)
-        assert spec in store
-        assert result_to_dict(store.get(spec)) == result_to_dict(result)
-        # keys() walks the legacy layout too (payload header is the
-        # authoritative key, machine defaulted to acmp).
-        assert store.keys() == [spec.key]
-
-    def test_namespaced_entry_shadows_legacy(self, tmp_path):
-        spec = _tiny_spec()
-        result = execute_run(spec)
-        store = ResultStore(tmp_path)
-        store.put(spec, result)
-        legacy = self._relocate_to_legacy(store, spec)
-        # Corrupt the legacy copy, then write a fresh namespaced entry:
-        # reads must prefer the namespaced path and never touch legacy.
-        legacy.write_text("{not json")
-        store.put(spec, result)
-        assert result_to_dict(store.get(spec)) == result_to_dict(result)
-
-    def test_reference_engine_never_reads_legacy(self, tmp_path):
-        # Only scheduled-engine acmp runs existed before the machine
-        # axis, so a reference-flavor spec must miss even if a file with
-        # its exact name sits in the legacy location.
-        spec_skip = _tiny_spec()
-        result = execute_run(spec_skip)
-        store = ResultStore(tmp_path)
-        store.put(spec_skip, result)
-        legacy = self._relocate_to_legacy(store, spec_skip)
-        spec_ref = RunSpec(
-            benchmark=spec_skip.benchmark,
-            config=spec_skip.config,
-            seed=spec_skip.seed,
-            scale=spec_skip.scale,
-            cycle_skip=False,
-        )
-        ref_name = store.path_for(spec_ref).name
-        (legacy.parent / ref_name).write_text(legacy.read_text())
-        assert spec_ref not in store
-        assert store.get(spec_ref) is None
-
-    def test_non_acmp_machine_never_reads_legacy(self, tmp_path):
-        spec = RunSpec(
-            benchmark="CG", config=private_config(core_count=2), scale=0.02
-        )
-        store = ResultStore(tmp_path)
-        # Plant a file at the legacy location under the scmp spec's
-        # filename; the fallback is acmp-only, so this must stay unseen.
         legacy = store.root / spec.benchmark / store.path_for(spec).name
-        legacy.parent.mkdir(parents=True, exist_ok=True)
-        legacy.write_text(json.dumps({"key": list(spec.key), "result": {}}))
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text(
+            json.dumps(
+                {
+                    "key": list(spec.key),
+                    "config_digest": spec.config_digest(),
+                    "result": result_to_dict(execute_run(spec)),
+                }
+            )
+        )
         assert spec not in store
         assert store.get(spec) is None
+        assert store.keys() == []
 
 
 class TestStoreConcurrentWriters:

@@ -3,7 +3,8 @@
 Three contracts:
 
 * the :class:`BatchedWarmer` is a pure speedup — the warm state it
-  produces is bit-identical to the scalar reference walk's;
+  produces is bit-identical to the scalar reference walk's, on the
+  kernel path and on the scalar fallback alike;
 * :class:`CheckpointStore` entries are served only under their exact
   identity (header verification, shape digests) and degrade to misses,
   never to wrong state;
@@ -29,8 +30,8 @@ from repro.sampling import (
     SamplingPlan,
     trace_fingerprint,
 )
-from repro.sampling.simulator import _warm_interval
 from repro.sampling.slicer import IntervalKind, slice_traces
+from repro.sampling.warmer import core_warm_structures, scalar_walk
 from repro.trace.synthesis import synthesize_benchmark
 
 TINY_PLAN = SamplingPlan(
@@ -48,34 +49,52 @@ def _warm_intervals(traces):
     ]
 
 
+def _scalar_warm(system, traces, intervals):
+    """The oracle: every core's span of every interval, scalar-walked."""
+    structures = core_warm_structures(system)
+    for interval in intervals:
+        for core_id, (start, end) in enumerate(interval.spans):
+            scalar_walk(
+                structures[core_id], traces.threads[core_id].records,
+                start, end,
+            )
+
+
 class TestBatchedWarmer:
     @pytest.mark.parametrize("machine", ["acmp", "scmp"])
     @pytest.mark.parametrize("point", ["baseline", "shared"])
     def test_batched_walk_is_bit_identical_to_scalar(self, machine, point):
+        """Every I-cache policy, with and without an iTLB: LRU cores
+        take the span kernel, the others the scalar fallback, and both
+        must land on the oracle's warm state."""
         model = get_model(machine)
-        config = (
-            model.baseline_config() if point == "baseline"
-            else model.shared_config()
+        make_config = (
+            model.baseline_config if point == "baseline"
+            else model.shared_config
         )
         traces = synthesize_benchmark(
-            "UA", thread_count=config.core_count, scale=0.2
+            "UA", thread_count=make_config().core_count, scale=0.2
         )
         intervals = _warm_intervals(traces)
         assert intervals, "probe trace too small to slice"
 
-        scalar = model.build_system(config, traces)
-        for interval in intervals:
-            _warm_interval(scalar, traces, interval)
+        for policy in ("lru", "plru", "fifo", "random"):
+            for itlb_enabled in (False, True):
+                config = make_config(
+                    icache_policy=policy, itlb_enabled=itlb_enabled
+                )
+                scalar = model.build_system(config, traces)
+                _scalar_warm(scalar, traces, intervals)
 
-        batched = model.build_system(config, traces)
-        warmer = BatchedWarmer(batched, traces)
-        blocks = sum(warmer.warm_interval(i) for i in intervals)
-        assert blocks > 0
+                batched = model.build_system(config, traces)
+                warmer = BatchedWarmer(batched, traces)
+                blocks = sum(warmer.warm_interval(i) for i in intervals)
+                assert blocks > 0
 
-        assert (
-            batched.capture_warm_state().to_dict()
-            == scalar.capture_warm_state().to_dict()
-        )
+                assert (
+                    batched.capture_warm_state().to_dict()
+                    == scalar.capture_warm_state().to_dict()
+                ), (policy, itlb_enabled)
 
     def test_batched_walk_survives_a_restore(self):
         """Restores adopt snapshot storage; the warmer must keep
@@ -89,8 +108,7 @@ class TestBatchedWarmer:
         assert len(intervals) >= 2
 
         scalar = model.build_system(config, traces)
-        for interval in intervals:
-            _warm_interval(scalar, traces, interval)
+        _scalar_warm(scalar, traces, intervals)
 
         batched = model.build_system(config, traces)
         warmer = BatchedWarmer(batched, traces)

@@ -1,16 +1,17 @@
-"""Kernel backend tests: pylib semantics, compiled equivalence, selection.
+"""Kernel backend tests: compiled equivalence, selection, consumers.
 
-``repro.kernels.pylib`` is the specification; the compiled backend must
-be bit-identical on every operation, including tie-breaks and seen-set
-insertion order. The equivalence classes here run both backends over the
-same randomized operation streams and compare final table states. When
-the extension is not already loaded, the fixture builds it into a temp
-directory (skipping if the host has no C compiler), so the pure-Python
-CI leg still exercises everything except the native code itself.
+``repro.kernels.pylib`` is the specification and the pure-Python
+backend; the compiled backend must be bit-identical on every input,
+including tie-breaks, seen-set insertion order and float rounding. The
+equivalence classes run both backends over the same randomized inputs
+and compare final table states. When the extension is not already
+loaded, the fixture builds it into a temp directory (skipping if the
+host has no C compiler), so the pure-Python CI leg still exercises
+everything except the native code itself.
 
-The routing classes cover the *consumer* side with no compiler at all:
-each hot structure's kernel-call path is forced on (bound to ``pylib``)
-and compared against its original inline loop.
+The consumer classes run whichever backend is active: the commit
+engine's walks against repeated ``step()`` calls, and the warmer's
+per-core dispatch between the span kernel and the scalar walk.
 """
 
 import importlib
@@ -23,54 +24,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.kernels import pylib
 
-# -- pylib semantics --------------------------------------------------------
-
-
-class TestPylib:
-    def test_find_way(self):
-        row = [None, 0x40, 0x80, 0x40]
-        assert pylib.find_way(row, 0x40) == 1  # first match wins
-        assert pylib.find_way(row, None) == 0
-        assert pylib.find_way(row, 0xC0) == -1
-        assert pylib.find_way([], 0x40) == -1
-
-    def test_gshare_update_matches_predictor_inline_path(self, monkeypatch):
-        from repro.branch import gshare as gshare_module
-
-        # Force the predictor onto its inline arithmetic, then replay
-        # the same stream through pylib on a copied table.
-        monkeypatch.setattr(gshare_module, "_native_update", None)
-        predictor = gshare_module.GsharePredictor(size_bytes=1024)
-        counters = list(predictor._counters)
-        history = predictor._history
-        mask = predictor._mask
-        shift = predictor._index_shift
-        rng = random.Random(11)
-        for _ in range(2000):
-            address = rng.randrange(1 << 20)
-            taken = rng.random() < 0.5
-            predictor.update(address, taken)
-            history = pylib.gshare_update(
-                counters, history, mask, shift, address, taken
-            )
-        assert counters == predictor._counters
-        assert history == predictor._history
-
-    def test_gshare_update_saturates(self):
-        counters = [3, 0]
-        assert pylib.gshare_update(counters, 0, 1, 0, 0, True) == 1
-        assert counters == [3, 0]  # saturated high, no write
-        assert pylib.gshare_update(counters, 1, 1, 0, 0, False) == 0
-        assert counters == [3, 0]  # saturated low, no write
-
-    def test_btb_probe(self):
-        tags = [-1, 0x104]
-        targets = [0, 0x9000]
-        assert pylib.btb_probe(tags, targets, 1, 0x104) == 0x9000
-        assert pylib.btb_probe(tags, targets, 1, 0x204) is None
-        assert pylib.btb_probe(tags, targets, 0, -1) == 0  # tag match
-
-
 # -- compiled backend equivalence ------------------------------------------
 
 
@@ -79,7 +32,7 @@ def native(tmp_path_factory):
     """The compiled module: the loaded one, or a fresh temp-dir build."""
     from repro import kernels
 
-    if kernels.NATIVE:
+    if kernels.backend_name() == "compiled":
         return importlib.import_module("repro.kernels._native")
     from repro.kernels.build import build
 
@@ -92,139 +45,6 @@ def native(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def _random_warm_tables(rng):
-    """One randomized warm-structure state for a warm_lines trial."""
-    l1_sets, l1_ways = 8, 4
-    l2_sets, l2_ways = 16, 8
-    line = lambda: rng.randrange(1 << 10) * 64  # noqa: E731
-    l1_tags = [
-        [line() if rng.random() < 0.5 else None for _ in range(l1_ways)]
-        for _ in range(l1_sets)
-    ]
-    l1_order = [
-        rng.sample(range(l1_ways), l1_ways) if rng.random() < 0.5 else None
-        for _ in range(l1_sets)
-    ]
-    l2_tags = [
-        [line() if rng.random() < 0.3 else None for _ in range(l2_ways)]
-        for _ in range(l2_sets)
-    ]
-    l2_order = [
-        rng.sample(range(l2_ways), l2_ways) if rng.random() < 0.5 else None
-        for _ in range(l2_sets)
-    ]
-    state = {
-        "lb_lines": [line() for _ in range(4)],
-        "lb_uses": [rng.randrange(64) for _ in range(4)],
-        "lb_clock": rng.randrange(64, 128),
-        "l1_tags": l1_tags,
-        "l1_order": l1_order,
-        "l1_seen": set(rng.sample(range(0, 1 << 16, 64), 20)),
-        "l2_tags": l2_tags,
-        "l2_order": l2_order,
-        "l2_seen": set(rng.sample(range(0, 1 << 16, 64), 20)),
-    }
-    start = rng.randrange(1 << 10) * 64
-    end = start + rng.randrange(1, 40) * 64
-    return state, (l1_ways, l2_ways), (start, end)
-
-
-class TestCompiledEquivalence:
-    def test_find_way(self, native):
-        rng = random.Random(21)
-        for _ in range(300):
-            ways = rng.randrange(1, 9)
-            row = [
-                rng.randrange(16) * 64 if rng.random() < 0.7 else None
-                for _ in range(ways)
-            ]
-            target = (
-                None if rng.random() < 0.3 else rng.randrange(16) * 64
-            )
-            assert native.find_way(row, target) == pylib.find_way(
-                row, target
-            ), (row, target)
-
-    def test_gshare_update(self, native):
-        rng = random.Random(22)
-        mask = (1 << 12) - 1
-        counters_a = [rng.randrange(4) for _ in range(mask + 1)]
-        counters_b = list(counters_a)
-        history_a = history_b = 0
-        for _ in range(5000):
-            address = rng.randrange(1 << 24)
-            taken = rng.random() < 0.5
-            history_a = native.gshare_update(
-                counters_a, history_a, mask, 2, address, taken
-            )
-            history_b = pylib.gshare_update(
-                counters_b, history_b, mask, 2, address, taken
-            )
-        assert history_a == history_b
-        assert counters_a == counters_b
-
-    def test_btb_probe(self, native):
-        rng = random.Random(23)
-        entries = 64
-        tags = [
-            rng.randrange(1 << 16) if rng.random() < 0.5 else -1
-            for _ in range(entries)
-        ]
-        targets = [rng.randrange(1 << 16) for _ in range(entries)]
-        for _ in range(2000):
-            index = rng.randrange(entries)
-            address = (
-                tags[index] if rng.random() < 0.5 else rng.randrange(1 << 16)
-            )
-            assert native.btb_probe(
-                tags, targets, index, address
-            ) == pylib.btb_probe(tags, targets, index, address)
-
-    def test_warm_lines(self, native):
-        for trial in range(30):
-            # Both states are drawn from identically-seeded generators:
-            # a deepcopy would rebuild the seen-sets in iteration order
-            # and silently perturb their internal layout.
-            seed = 2400 + trial
-            state, (l1_ways, l2_ways), span = _random_warm_tables(
-                random.Random(seed)
-            )
-            mirror, _, _ = _random_warm_tables(random.Random(seed))
-            args = (span[0], span[1], 64)
-            shape = (l1_ways, 0, 7, l2_ways, 0, 15)
-
-            def run(impl, s):
-                return impl(
-                    *args,
-                    s["lb_lines"],
-                    s["lb_uses"],
-                    s["lb_clock"],
-                    s["l1_tags"],
-                    s["l1_order"],
-                    shape[0],
-                    shape[1],
-                    shape[2],
-                    s["l1_seen"],
-                    s["l2_tags"],
-                    s["l2_order"],
-                    shape[3],
-                    shape[4],
-                    shape[5],
-                    s["l2_seen"],
-                )
-
-            clock_native = run(native.warm_lines, state)
-            clock_py = run(pylib.warm_lines, mirror)
-            assert clock_native == clock_py, f"trial {trial}"
-            for field in ("lb_lines", "lb_uses", "l1_tags", "l1_order",
-                          "l2_tags", "l2_order"):
-                assert state[field] == mirror[field], (trial, field)
-            # Seen-sets must match including insertion order (identical
-            # insertion sequences yield identical iteration order).
-            assert list(state["l1_seen"]) == list(mirror["l1_seen"]), trial
-            assert list(state["l2_seen"]) == list(mirror["l2_seen"]), trial
 
 
 # -- backend selection ------------------------------------------------------
@@ -268,7 +88,8 @@ class TestBackendSelection:
         module = _fresh_kernels(monkeypatch, "py")
         assert module.NATIVE is False
         assert module.backend_name() == "py"
-        assert module.find_way is module.pylib.find_way
+        assert module.warm_span is module.pylib.warm_span
+        assert module.replay_walk is module.pylib.replay_walk
 
     def test_invalid_value_rejected(self, monkeypatch):
         with pytest.raises(ConfigurationError, match="REPRO_KERNELS"):
@@ -284,143 +105,11 @@ class TestBackendSelection:
         assert module.backend_name() == "py"
 
 
-# -- consumer routing (works with no compiler: kernel path = pylib) ---------
+# -- warmer dispatch (active backend) ----------------------------------------
 
 
-class TestConsumerRouting:
-    def test_set_assoc_kernel_path_matches_inline(self, monkeypatch):
-        from repro.cache import set_assoc
-
-        def build():
-            return set_assoc.SetAssociativeCache(
-                size_bytes=4096, ways=4, line_bytes=64
-            )
-
-        rng = random.Random(31)
-        stream = [rng.randrange(1 << 14) * 4 for _ in range(4000)]
-
-        monkeypatch.setattr(set_assoc, "_native_find_way", None)
-        inline = build()
-        for address in stream:
-            inline.access(address)
-
-        monkeypatch.setattr(
-            set_assoc, "_native_find_way", pylib.find_way
-        )
-        routed = build()
-        for address in stream:
-            routed.access(address)
-
-        assert routed._tags == inline._tags
-        assert routed._policy._order == inline._policy._order
-        assert routed.stats.hits == inline.stats.hits
-        assert routed.stats.misses == inline.stats.misses
-
-    def test_gshare_kernel_path_matches_inline(self, monkeypatch):
-        from repro.branch import gshare as gshare_module
-
-        rng = random.Random(32)
-        stream = [
-            (rng.randrange(1 << 20), rng.random() < 0.5)
-            for _ in range(3000)
-        ]
-
-        monkeypatch.setattr(gshare_module, "_native_update", None)
-        inline = gshare_module.GsharePredictor(size_bytes=1024)
-        for address, taken in stream:
-            inline.update(address, taken)
-
-        monkeypatch.setattr(
-            gshare_module, "_native_update", pylib.gshare_update
-        )
-        routed = gshare_module.GsharePredictor(size_bytes=1024)
-        for address, taken in stream:
-            routed.update(address, taken)
-
-        assert routed._counters == inline._counters
-        assert routed._history == inline._history
-
-    def test_btb_kernel_path_matches_inline(self, monkeypatch):
-        from repro.branch import btb as btb_module
-
-        rng = random.Random(33)
-        stream = [
-            (rng.randrange(1 << 12) * 4, rng.randrange(1 << 16))
-            for _ in range(3000)
-        ]
-
-        monkeypatch.setattr(btb_module, "_native_probe", None)
-        inline = btb_module.BranchTargetBuffer(entries=256)
-        inline_correct = [
-            inline.predict_and_update(a, t) for a, t in stream
-        ]
-
-        monkeypatch.setattr(btb_module, "_native_probe", pylib.btb_probe)
-        routed = btb_module.BranchTargetBuffer(entries=256)
-        routed_correct = [
-            routed.predict_and_update(a, t) for a, t in stream
-        ]
-
-        assert routed_correct == inline_correct
-        assert routed._tags == inline._tags
-        assert routed._targets == inline._targets
-        assert routed.stats == inline.stats
-
-    def test_warmer_kernel_path_matches_inline(self, monkeypatch):
-        from repro.machine.model import get_model
-        from repro.sampling import BatchedWarmer, SamplingPlan
-        from repro.sampling import warmer as warmer_module
-        from repro.sampling.slicer import IntervalKind, slice_traces
-        from repro.trace.synthesis import synthesize_benchmark
-
-        model = get_model("acmp")
-        config = model.shared_config(itlb_enabled=True)
-        traces = synthesize_benchmark(
-            "UA", thread_count=config.core_count, scale=0.2
-        )
-        plan = SamplingPlan(
-            detail_instructions=2_000,
-            skip_instructions=6_000,
-            warmup_instructions=6_000,
-        )
-        intervals = [
-            interval
-            for interval in slice_traces(traces, plan)
-            if interval.kind is not IntervalKind.SKIP
-        ]
-        assert intervals, "probe trace too small to slice"
-
-        # Pin the whole-span kernel off: this test isolates the
-        # per-block warm_lines routing.
-        monkeypatch.setattr(warmer_module, "_native_span", None)
-        monkeypatch.setattr(warmer_module, "_native_warm", None)
-        inline_system = model.build_system(config, traces)
-        inline_warmer = BatchedWarmer(inline_system, traces)
-        inline_blocks = sum(
-            inline_warmer.warm_interval(i) for i in intervals
-        )
-
-        monkeypatch.setattr(
-            warmer_module, "_native_warm", pylib.warm_lines
-        )
-        routed_system = model.build_system(config, traces)
-        routed_warmer = BatchedWarmer(routed_system, traces)
-        routed_blocks = sum(
-            routed_warmer.warm_interval(i) for i in intervals
-        )
-
-        assert routed_blocks == inline_blocks > 0
-        assert (
-            routed_system.capture_warm_state().to_dict()
-            == inline_system.capture_warm_state().to_dict()
-        )
-
-
-# -- whole-span warming kernel ----------------------------------------------
-
-
-def _sampled_warm_setup(scale=0.2, **config_overrides):
-    """A sliced UA trace plus builders for span-walk routing tests."""
+def _sampled_warm_setup(**config_overrides):
+    """A sliced UA trace plus the model and config to warm it on."""
     from repro.machine.model import get_model
     from repro.sampling import SamplingPlan
     from repro.sampling.slicer import IntervalKind, slice_traces
@@ -429,7 +118,7 @@ def _sampled_warm_setup(scale=0.2, **config_overrides):
     model = get_model("acmp")
     config = model.shared_config(itlb_enabled=True, **config_overrides)
     traces = synthesize_benchmark(
-        "UA", thread_count=config.core_count, scale=scale
+        "UA", thread_count=config.core_count, scale=0.2
     )
     plan = SamplingPlan(
         detail_instructions=2_000,
@@ -446,116 +135,48 @@ def _sampled_warm_setup(scale=0.2, **config_overrides):
 
 
 class TestWarmerSpanRouting:
-    def test_span_path_matches_inline(self, monkeypatch):
-        from repro.sampling import BatchedWarmer
-        from repro.sampling import warmer as warmer_module
-
-        model, config, traces, intervals = _sampled_warm_setup()
-
-        monkeypatch.setattr(warmer_module, "_native_span", None)
-        monkeypatch.setattr(warmer_module, "_native_warm", None)
-        inline_system = model.build_system(config, traces)
-        inline_blocks = sum(
-            BatchedWarmer(inline_system, traces).warm_interval(i)
-            for i in intervals
-        )
-
-        monkeypatch.setattr(
-            warmer_module, "_native_span", pylib.warm_span
-        )
-        routed_system = model.build_system(config, traces)
-        routed_warmer = BatchedWarmer(routed_system, traces)
-        assert all(shape is not None for shape in routed_warmer._shapes)
-        routed_blocks = sum(
-            routed_warmer.warm_interval(i) for i in intervals
-        )
-
-        assert routed_blocks == inline_blocks > 0
-        assert (
-            routed_system.capture_warm_state().to_dict()
-            == inline_system.capture_warm_state().to_dict()
-        )
-
     def test_non_lru_l1_takes_fallback(self, monkeypatch):
+        from repro import kernels
         from repro.sampling import BatchedWarmer
-        from repro.sampling import warmer as warmer_module
 
         model, config, traces, intervals = _sampled_warm_setup(
             icache_policy="plru"
         )
 
         def forbidden(*args):
-            raise AssertionError(
-                "span kernel engaged for a non-LRU L1"
-            )
+            raise AssertionError("span kernel engaged for a non-LRU L1")
 
-        monkeypatch.setattr(warmer_module, "_native_span", forbidden)
-        monkeypatch.setattr(warmer_module, "_native_warm", None)
-        routed_system = model.build_system(config, traces)
-        routed_warmer = BatchedWarmer(routed_system, traces)
-        assert all(shape is None for shape in routed_warmer._shapes)
-        routed_blocks = sum(
-            routed_warmer.warm_interval(i) for i in intervals
-        )
+        monkeypatch.setattr(kernels, "warm_span", forbidden)
+        warmer = BatchedWarmer(model.build_system(config, traces), traces)
+        assert sum(warmer.warm_interval(i) for i in intervals) > 0
 
-        monkeypatch.setattr(warmer_module, "_native_span", None)
-        inline_system = model.build_system(config, traces)
-        inline_blocks = sum(
-            BatchedWarmer(inline_system, traces).warm_interval(i)
-            for i in intervals
-        )
-
-        assert routed_blocks == inline_blocks > 0
-        assert (
-            routed_system.capture_warm_state().to_dict()
-            == inline_system.capture_warm_state().to_dict()
-        )
-
-    def test_span_path_safe_after_restore(self, monkeypatch):
+    def test_span_path_safe_after_restore(self):
         """Restores adopt snapshot storage; the span walk must re-read
         the inner tables and keep warming the adopted ones."""
         from repro.sampling import BatchedWarmer
-        from repro.sampling import warmer as warmer_module
 
         model, config, traces, intervals = _sampled_warm_setup()
         assert len(intervals) >= 2
 
-        def round_trip(span_impl):
-            monkeypatch.setattr(warmer_module, "_native_span", span_impl)
-            monkeypatch.setattr(warmer_module, "_native_warm", None)
-            first = model.build_system(config, traces)
-            BatchedWarmer(first, traces).warm_interval(intervals[0])
-            snapshot = first.capture_warm_state()
-            second = model.build_system(config, traces)
-            warmer = BatchedWarmer(second, traces)
-            second.restore_warm_state(snapshot)
-            warmer.warm_interval(intervals[1])
-            return second.capture_warm_state().to_dict()
+        first = model.build_system(config, traces)
+        BatchedWarmer(first, traces).warm_interval(intervals[0])
+        restored = model.build_system(config, traces)
+        warmer = BatchedWarmer(restored, traces)
+        restored.restore_warm_state(first.capture_warm_state())
+        warmer.warm_interval(intervals[1])
 
-        assert round_trip(pylib.warm_span) == round_trip(None)
+        straight = model.build_system(config, traces)
+        straight_warmer = BatchedWarmer(straight, traces)
+        for interval in intervals[:2]:
+            straight_warmer.warm_interval(interval)
 
-    def test_span_encoding_cache_invalidation(self):
-        from repro.sampling import BatchedWarmer
-
-        model, config, traces, _ = _sampled_warm_setup()
-        warmer = BatchedWarmer(model.build_system(config, traces), traces)
-        records = traces.threads[0].records
-
-        first = warmer._span_encoding(0, records)
-        assert warmer._span_encoding(0, records) is first  # cached
-
-        replaced = list(records)
-        rebuilt = warmer._span_encoding(0, replaced)
-        assert rebuilt is not first  # new list identity
-        assert rebuilt.prefix == first.prefix
-
-        replaced.append(replaced[0])
-        regrown = warmer._span_encoding(0, replaced)
-        assert regrown is not rebuilt  # same list, new length
-        assert regrown.length == rebuilt.length + 1
+        assert (
+            restored.capture_warm_state().to_dict()
+            == straight.capture_warm_state().to_dict()
+        )
 
 
-# -- replay_walk: spec, consumer routing, compiled equivalence ---------------
+# -- replay_walk: the commit engine against its stepped self -----------------
 
 
 def _random_engine(rng):
@@ -570,151 +191,95 @@ def _random_engine(rng):
     return engine
 
 
+def _stepped_horizons(engine, cap, space_limit):
+    """Step ``engine`` with no pushes for up to ``cap`` cycles.
+
+    Returns what the three planning walks must predict: the first
+    committing cycle, the replay-window bound (one cycle past the commit
+    that drains the queue or frees room down to ``space_limit``, else
+    ``cap``) and the draining cycle.
+    """
+    first = horizon = drain = None
+    for ahead in range(1, cap + 1):
+        if not engine.step(ahead, "other"):
+            continue
+        if first is None:
+            first = ahead
+        remaining = engine.iq_count
+        if horizon is None and (remaining <= space_limit or remaining == 0):
+            horizon = ahead + 1
+        if remaining == 0:
+            drain = ahead
+            break
+    return first, cap if horizon is None else horizon, drain
+
+
 class TestReplayWalkSpec:
-    """pylib.replay_walk against the stepped CommitEngine loops."""
+    """The CommitEngine's replay_walk-backed planning and settlement
+    walks against repeated ``step()`` calls on an identical engine."""
 
-    def test_planning_modes_match_inline_walks(self, monkeypatch):
-        from repro.backend import backend as backend_module
-
-        monkeypatch.setattr(backend_module, "_native_replay", None)
+    def test_planning_modes_match_stepped_engine(self):
         rng = random.Random(51)
-        for _ in range(300):
-            engine = _random_engine(rng)
+        for trial in range(300):
+            seed = rng.randrange(1 << 30)
+            engine = _random_engine(random.Random(seed))
             cap = rng.choice([5, 64, 4096])
             space = rng.randrange(0, engine.iq_capacity + 1)
-            credit, ipc = engine._credit, engine._ipc
-            iq = engine._iq_count
-
-            next_commit = pylib.replay_walk(
-                pylib.REPLAY_NEXT, credit, ipc, iq, cap, -1
-            )
-            assert engine.cycles_to_next_commit(cap) == (
-                (next_commit or None) if iq else None
-            )
-
             space_limit = engine.iq_capacity - space if space else -1
-            horizon = pylib.replay_walk(
-                pylib.REPLAY_HORIZON, credit, ipc, iq, cap, space_limit
+            occupied = engine.iq_count > 0
+
+            first, horizon, drain = _stepped_horizons(
+                _random_engine(random.Random(seed)), cap, space_limit
             )
+            assert engine.cycles_to_next_commit(cap) == first, trial
             assert engine.replay_horizon(space, cap) == (
-                horizon if iq else None
-            )
+                horizon if occupied else None
+            ), trial
+            assert engine.drain_horizon(cap) == drain, trial
 
-            drain = pylib.replay_walk(
-                pylib.REPLAY_DRAIN, credit, ipc, iq, cap, -1
-            )
-            assert engine.drain_horizon(cap) == (
-                (drain or None) if iq else None
-            )
-
-    def test_steps_mode_matches_stepped_settlement(self, monkeypatch):
-        from repro.backend import backend as backend_module
+    def test_steps_mode_matches_stepped_settlement(self):
         from repro.errors import SimulationError
 
-        monkeypatch.setattr(backend_module, "_native_replay", None)
         rng = random.Random(52)
         stalls = 0
-        for _ in range(400):
-            engine = _random_engine(rng)
+        for trial in range(400):
+            seed = rng.randrange(1 << 30)
             cycles = rng.randrange(1, 60)
-            committed, base, last, iq, credit, stalled = pylib.replay_walk(
-                pylib.REPLAY_STEPS,
-                engine._credit,
-                engine._ipc,
-                engine._iq_count,
-                cycles,
-                -1,
-            )
-            before = (engine.stats.committed, engine.stats.base_cycles)
-            if stalled:
+            replayed = _random_engine(random.Random(seed))
+            stepped = _random_engine(random.Random(seed))
+            committed = 0
+            last_commit = None
+            stall_credit = None
+            for offset in range(1, cycles + 1):
+                credit_before = stepped._credit
+                stalls_before = stepped.stats.total_stall_cycles
+                commit = stepped.step(offset, "other")
+                if stepped.stats.total_stall_cycles != stalls_before:
+                    # A replay stops on the stall cycle with its credit
+                    # earned and nothing charged — the stepped prefix.
+                    stall_credit = credit_before + stepped.ipc
+                    break
+                if commit:
+                    committed += commit
+                    last_commit = offset
+
+            if stall_credit is not None:
                 stalls += 1
                 with pytest.raises(SimulationError, match="stall boundary"):
-                    engine.replay_steps(cycles)
+                    replayed.replay_steps(cycles)
+                assert repr(replayed._credit) == repr(stall_credit), trial
             else:
-                assert engine.replay_steps(cycles) == (
-                    committed,
-                    last if last else None,
-                )
-            # Identical post state either way: the walk stops on the
-            # stall cycle with its credit earned and nothing charged.
-            assert engine._iq_count == iq
-            assert repr(engine._credit) == repr(credit)
-            assert engine.stats.committed == before[0] + committed
-            assert engine.stats.base_cycles == before[1] + base
+                assert replayed.replay_steps(cycles) == (
+                    committed, last_commit
+                ), trial
+                assert repr(replayed._credit) == repr(stepped._credit), trial
+            assert replayed.iq_count == stepped.iq_count, trial
+            assert replayed.stats.committed == stepped.stats.committed
+            assert replayed.stats.base_cycles == stepped.stats.base_cycles
         assert stalls > 0, "trial mix never crossed a stall boundary"
 
 
-class TestBackendReplayRouting:
-    """The CommitEngine kernel path (bound to pylib) vs its inline loops."""
-
-    def test_routed_walks_match_inline(self, monkeypatch):
-        from repro.backend import backend as backend_module
-
-        rng = random.Random(53)
-        for _ in range(200):
-            seed = rng.randrange(1 << 30)
-            cap = rng.choice([7, 64, 4096])
-            capacity = _random_engine(random.Random(seed)).iq_capacity
-            space = rng.randrange(0, capacity + 1)
-
-            def walk(engine):
-                results = [
-                    engine.cycles_to_next_commit(cap),
-                    engine.replay_horizon(space, cap),
-                    engine.drain_horizon(cap),
-                ]
-                span = (engine.replay_horizon(0, cap) or 1) - 1
-                if span:
-                    results.append(engine.replay_steps(span))
-                    results.append(engine._iq_count)
-                    results.append(repr(engine._credit))
-                    results.append(engine.stats.committed)
-                    results.append(engine.stats.base_cycles)
-                return results
-
-            # The binding is module-level, so run each engine's full walk
-            # under its own binding before switching.
-            monkeypatch.setattr(backend_module, "_native_replay", None)
-            inline = _random_engine(random.Random(seed))
-            inline_results = walk(inline)
-            assert inline.replay_walk_engaged == 0
-
-            monkeypatch.setattr(
-                backend_module, "_native_replay", pylib.replay_walk
-            )
-            routed = _random_engine(random.Random(seed))
-            occupied = routed._iq_count > 0
-            assert walk(routed) == inline_results
-            # An empty queue short-circuits before the kernel call.
-            assert (routed.replay_walk_engaged > 0) == occupied
-
-    def test_routed_stall_matches_inline(self, monkeypatch):
-        from repro.backend import backend as backend_module
-        from repro.errors import SimulationError
-
-        def drained_engine():
-            engine = backend_module.CommitEngine(
-                iq_capacity=8, initial_ipc=2.0
-            )
-            engine.iq_push(3)
-            return engine
-
-        monkeypatch.setattr(backend_module, "_native_replay", None)
-        inline = drained_engine()
-        with pytest.raises(SimulationError, match="stall boundary"):
-            inline.replay_steps(10)  # drains on cycle 2, stalls on 3
-
-        monkeypatch.setattr(
-            backend_module, "_native_replay", pylib.replay_walk
-        )
-        routed = drained_engine()
-        with pytest.raises(SimulationError, match="stall boundary"):
-            routed.replay_steps(10)
-
-        assert routed._iq_count == inline._iq_count == 0
-        assert repr(routed._credit) == repr(inline._credit)
-        assert routed.stats.committed == inline.stats.committed
-        assert routed.stats.base_cycles == inline.stats.base_cycles
+# -- whole-span warming kernel and replay walk, compiled vs pylib ------------
 
 
 def _random_span_columns(rng, blocks):
@@ -788,20 +353,17 @@ class TestCompiledSpanEquivalence:
     def test_warm_span(self, native):
         for trial in range(60):
             rng = random.Random(6200 + trial)
-            columns = _random_span_columns(rng, rng.randrange(1, 40))
+            columns = _random_span_columns(rng, rng.randrange(0, 40))
             have_itlb = trial % 2 == 0
             # Identically-seeded states, not deepcopies: a copy would
             # rebuild seen-sets/dicts in iteration order and silently
             # perturb their internal layout.
             state = _random_span_state(random.Random(trial), have_itlb)
             mirror = _random_span_state(random.Random(trial), have_itlb)
-            bend = len(columns[0])
-            bstart = rng.randrange(0, bend)
 
             def run(impl, s):
                 return impl(
-                    bstart, bend, 64, *columns,
-                    *(s[name] for name in _SPAN_ARG_ORDER),
+                    64, *columns, *(s[name] for name in _SPAN_ARG_ORDER)
                 )
 
             result_native = run(native.warm_span, state)
@@ -846,8 +408,8 @@ class TestCompiledSpanEquivalence:
 
 
 def _fresh_kernels_with_stale_native(monkeypatch, value):
-    """Re-import repro.kernels against a fake pre-PR native module
-    (old entry points only), restoring real bindings afterwards."""
+    """Re-import repro.kernels against a fake native module built
+    before ``replay_walk`` existed, restoring real bindings afterwards."""
     import types
 
     if value is None:
@@ -860,10 +422,7 @@ def _fresh_kernels_with_stale_native(monkeypatch, value):
         if name == "repro.kernels" or name.startswith("repro.kernels.")
     }
     stale = types.ModuleType("repro.kernels._native")
-    stale.find_way = pylib.find_way
-    stale.gshare_update = pylib.gshare_update
-    stale.btb_probe = pylib.btb_probe
-    stale.warm_lines = pylib.warm_lines  # no warm_span / replay_walk
+    stale.warm_span = pylib.warm_span  # no replay_walk
     sys.modules["repro.kernels._native"] = stale
     try:
         return importlib.import_module("repro.kernels")

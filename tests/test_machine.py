@@ -230,27 +230,6 @@ class TestMachineAwareStore:
         store.put(ref_spec, execute_run(ref_spec))
         assert store.get(ref_spec) is not None
 
-    def test_legacy_acmp_entry_still_readable(self, tmp_path):
-        # Entries written before the machine axis lived directly under
-        # <root>/<benchmark>/ with no machine directory or engine tag.
-        store = ResultStore(tmp_path)
-        spec = _spec(baseline_config())
-        result = execute_run(spec)
-        legacy_dir = tmp_path / "CG"
-        legacy_dir.mkdir()
-        legacy_payload = {
-            "key": list(spec.key[1:]),  # old 4-element key
-            "config_digest": spec.config_digest(),
-            "result": result_to_dict(result),
-        }
-        (legacy_dir / store.path_for(spec).name).write_text(
-            json.dumps(legacy_payload)
-        )
-        assert spec in store
-        loaded = store.get(spec)
-        assert result_to_dict(loaded) == result_to_dict(result)
-        assert store.keys() == [spec.key]
-
 
 class TestSharding:
     def test_parse_shard(self):
