@@ -13,17 +13,31 @@ an IPC of 0.6 yields three committed instructions every five cycles.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
+from repro import kernels
 from repro.errors import SimulationError
 from repro.kernels import (
     REPLAY_DRAIN,
     REPLAY_HORIZON,
     REPLAY_NEXT,
     REPLAY_STEPS,
-    replay_walk,
 )
 from repro.utils import require_positive
+
+#: Bound of the commit-walk memo (distinct argument tuples kept). IPCs
+#: come from a few constants per benchmark, so a whole figure sweep
+#: walks only a few thousand distinct trajectories.
+REPLAY_MEMO_SIZE = 1 << 14
+
+#: ``kernels.replay_walk`` memoized: the walk is a pure function of
+#: ``(mode, credit, ipc, iq, count, space_limit)`` and returns an int
+#: (modes 0-2) or a tuple (mode 3), so a cached result cannot be
+#: mutated by a caller. The raw kernel stays in :mod:`repro.kernels`.
+memo_replay_walk = functools.lru_cache(maxsize=REPLAY_MEMO_SIZE)(
+    kernels.replay_walk
+)
 
 #: Stall categories reported in the CPI stack (Fig. 8).
 STALL_CAUSES = (
@@ -68,29 +82,27 @@ class CommitEngine:
         require_positive(iq_capacity, "iq_capacity")
         require_positive(initial_ipc, "initial_ipc")
         self.iq_capacity = iq_capacity
-        self._iq_count = 0
+        #: Instructions in the queue (read every cycle by the schedule
+        #: state and the ICOUNT arbiter: a plain attribute, no property).
+        self.iq_count = 0
         self._ipc = initial_ipc
         self._credit = 0.0
         self.stats = CommitStats()
 
     # -- instruction queue --------------------------------------------------
 
-    @property
-    def iq_count(self) -> int:
-        return self._iq_count
-
     def iq_space(self) -> int:
-        return self.iq_capacity - self._iq_count
+        return self.iq_capacity - self.iq_count
 
     def iq_push(self, instructions: int) -> None:
         if instructions < 0:
             raise SimulationError(f"cannot push {instructions} instructions")
-        if self._iq_count + instructions > self.iq_capacity:
+        if self.iq_count + instructions > self.iq_capacity:
             raise SimulationError(
-                f"instruction queue overflow: {self._iq_count}+{instructions} "
+                f"instruction queue overflow: {self.iq_count}+{instructions} "
                 f"> {self.iq_capacity}"
             )
-        self._iq_count += instructions
+        self.iq_count += instructions
 
     # -- commit rate --------------------------------------------------------
 
@@ -116,9 +128,9 @@ class CommitEngine:
                 common case) then skip the attribution walk entirely.
         """
         self._credit += self._ipc
-        commit = min(int(self._credit), self._iq_count)
+        commit = min(int(self._credit), self.iq_count)
         if commit > 0:
-            self._iq_count -= commit
+            self.iq_count -= commit
             self._credit -= commit
             self.stats.committed += commit
             self.stats.base_cycles += 1
@@ -156,10 +168,10 @@ class CommitEngine:
         occurs within ``cap`` cycles (the caller then simply keeps the
         back-end on the run list).
         """
-        if self._iq_count == 0:
+        if self.iq_count == 0:
             return None
-        ahead = replay_walk(
-            REPLAY_NEXT, self._credit, self._ipc, self._iq_count, cap, -1
+        ahead = memo_replay_walk(
+            REPLAY_NEXT, self._credit, self._ipc, self.iq_count, cap, -1
         )
         return ahead if ahead else None
 
@@ -187,11 +199,11 @@ class CommitEngine:
         Returns ``None`` when the queue is empty (no commit stream to
         replay; the idle-window machinery owns that case).
         """
-        iq = self._iq_count
+        iq = self.iq_count
         if iq == 0:
             return None
         space_limit = self.iq_capacity - space_needed if space_needed else -1
-        return replay_walk(
+        return memo_replay_walk(
             REPLAY_HORIZON, self._credit, self._ipc, iq, cap, space_limit
         )
 
@@ -212,10 +224,12 @@ class CommitEngine:
         :meth:`replay_horizon`'s capped return, the caller needs an
         unambiguous drain point to anchor the redirect penalty to.
         """
-        iq = self._iq_count
+        iq = self.iq_count
         if iq == 0:
             return None
-        drain = replay_walk(REPLAY_DRAIN, self._credit, self._ipc, iq, cap, -1)
+        drain = memo_replay_walk(
+            REPLAY_DRAIN, self._credit, self._ipc, iq, cap, -1
+        )
         return drain if drain else None
 
     def replay_steps(self, cycles: int) -> tuple[int, int | None]:
@@ -236,15 +250,15 @@ class CommitEngine:
         watchdog needs the exact cycle progress was last made.
         """
         committed_total, base_cycles, last_commit, iq, credit, stalled = (
-            replay_walk(
-                REPLAY_STEPS, self._credit, self._ipc, self._iq_count,
+            memo_replay_walk(
+                REPLAY_STEPS, self._credit, self._ipc, self.iq_count,
                 cycles, -1,
             )
         )
         # The walk stops on a stall with the prefix state applied — the
         # stall cycle's credit earned, no base cycle charged — exactly
         # the state a stepped run raises from.
-        self._iq_count = iq
+        self.iq_count = iq
         self._credit = credit
         self.stats.committed += committed_total
         self.stats.base_cycles += base_cycles
@@ -265,7 +279,7 @@ class CommitEngine:
         commit; crossing the boundary here means the window was
         mis-sized and the run would diverge from a stepped one.
         """
-        if self._iq_count == 0:
+        if self.iq_count == 0:
             raise SimulationError("pacing_steps requires a non-empty queue")
         for _ in range(cycles):
             self._credit += self._ipc
@@ -288,10 +302,10 @@ class CommitEngine:
         """
         if cycles <= 0:
             return
-        if self._iq_count:
+        if self.iq_count:
             raise SimulationError(
                 "idle_steps requires an empty instruction queue "
-                f"(have {self._iq_count})"
+                f"(have {self.iq_count})"
             )
         remaining = cycles
         # Warm-up: sub-unit pacing cycles until one commit credit is

@@ -22,10 +22,14 @@ class GsharePredictor(DirectionPredictor):
         self._entries = entries
         self._mask = entries - 1
         self._history_bits = log2_int(entries)
-        # allocate=False builds a hollow predictor whose counter table
-        # arrives via load_warm_state; predicting before a load is a
-        # programming error.
-        self._counters = [2] * entries if allocate else []  # weakly taken
+        # One byte per counter, initially weakly taken (2): a 64 Ki
+        # table is one flat buffer, not 64 Ki list slots the cyclic
+        # garbage collector walks. allocate=False builds a hollow
+        # predictor whose counter table arrives via load_warm_state;
+        # predicting before a load is a programming error.
+        self._counters = (
+            bytearray(b"\x02") * entries if allocate else bytearray()
+        )
         self._history = 0
         self._index_shift = 2
 
@@ -51,8 +55,16 @@ class GsharePredictor(DirectionPredictor):
         return {"counters": self._counters, "history": self._history}
 
     def load_warm_state(self, state) -> None:
-        """Adopt a snapshot; the table is shared, not copied."""
+        """Adopt a snapshot; a ``bytearray`` table is shared, not copied.
+
+        Any other sequence (the list :meth:`WarmState.from_dict
+        <repro.machine.warm.WarmState.from_dict>` rebuilds) is converted
+        once, which rejects counter values outside 0..255.
+        """
         counters = state["counters"]
+        if not isinstance(counters, bytearray):
+            # iter(): bytearray(n) of a bare int would build n zeros.
+            counters = bytearray(iter(counters))
         if len(counters) != self._entries:
             raise ValueError(
                 f"gshare snapshot has {len(counters)} counters, "

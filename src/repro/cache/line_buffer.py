@@ -40,7 +40,7 @@ class LineBufferStats:
         return self.cache_fetches / self.line_requests
 
 
-@dataclass
+@dataclass(slots=True)
 class _Entry:
     line: int | None = None
     pending: bool = False

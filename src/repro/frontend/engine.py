@@ -51,7 +51,21 @@ class PieceStatus(enum.Enum):
     READY = "ready"  # instructions available for extraction
 
 
-@dataclass
+#: Enum members bound to module globals: the per-cycle stages compare
+#: against them constantly, and a global load is about four times
+#: cheaper than an Enum class-attribute load.
+_UNISSUED = PieceStatus.UNISSUED
+_WAITING = PieceStatus.WAITING
+_REQUESTED = PieceStatus.REQUESTED
+_READY = PieceStatus.READY
+_HIT = LookupState.HIT
+_PENDING = LookupState.PENDING
+_RUNNING = ThreadState.RUNNING
+_BLOCKED = ThreadState.BLOCKED
+_FINISHED = ThreadState.FINISHED
+
+
+@dataclass(slots=True)
 class _Piece:
     """The part of a basic block that falls within one cache line."""
 
@@ -64,7 +78,7 @@ class _Piece:
     counted: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class _FtqEntry:
     pieces: deque[_Piece] = field(default_factory=deque)
 
@@ -166,7 +180,7 @@ class FetchEngine:
 
     def step(self, now: int) -> None:
         """Run fill, issue and extract for this cycle."""
-        if self.context.state is not ThreadState.RUNNING:
+        if self.context.state is not _RUNNING:
             return
         acted = self._fill_ftq(now)
         if self._issue(now):
@@ -261,15 +275,15 @@ class FetchEngine:
                     # enter it as earlier pieces extract.
                     return True
                 examined += 1
-                if piece.status is not PieceStatus.UNISSUED:
+                if piece.status is not _UNISSUED:
                     continue
                 state = self.line_buffers.lookup(piece.line, count=not piece.counted)
                 piece.counted = True
-                if state is LookupState.HIT:
-                    piece.status = PieceStatus.READY
+                if state is _HIT:
+                    piece.status = _READY
                     continue
-                if state is LookupState.PENDING:
-                    piece.status = PieceStatus.WAITING
+                if state is _PENDING:
+                    piece.status = _WAITING
                     continue
                 if issued_request:
                     return True  # one new request per cycle; rescan next cycle
@@ -286,7 +300,7 @@ class FetchEngine:
                     self._issue_pending = False
                     return True
                 piece.request = self.port.request(piece.line, now)
-                piece.status = PieceStatus.REQUESTED
+                piece.status = _REQUESTED
                 issued_request = True
         # Every piece currently in the FTQ has been dispositioned; a new
         # push or a fill re-arms the scan.
@@ -304,7 +318,7 @@ class FetchEngine:
             self._ftq.popleft()
             return True
         piece = entry.pieces[0]
-        if piece.status is not PieceStatus.READY:
+        if piece.status is not _READY:
             return False
         if self.iq_space() < piece.instructions:
             return False
@@ -324,10 +338,10 @@ class FetchEngine:
         for entry in self._ftq:
             for piece in entry.pieces:
                 if piece.line == request.line_address and piece.status in (
-                    PieceStatus.REQUESTED,
-                    PieceStatus.WAITING,
+                    _REQUESTED,
+                    _WAITING,
                 ):
-                    piece.status = PieceStatus.READY
+                    piece.status = _READY
 
     # -- ready/wake support -----------------------------------------------------
 
@@ -359,7 +373,7 @@ class FetchEngine:
         only change when an in-flight request changes lifecycle state,
         which the ports report through their ``stall_listener``.
         """
-        if self.context.state is not ThreadState.RUNNING:
+        if self.context.state is not _RUNNING:
             return (NEVER, 0)  # step() is a no-op until woken
         horizon = NEVER
         space_needed = 0
@@ -369,7 +383,7 @@ class FetchEngine:
             if not entry.pieces:
                 return (None, 0)  # the empty entry would be popped
             piece = entry.pieces[0]
-            if piece.status is PieceStatus.READY:
+            if piece.status is _READY:
                 if self.iq_space() >= piece.instructions:
                     return (None, 0)
                 space_needed = piece.instructions
@@ -420,7 +434,7 @@ class FetchEngine:
         if (
             self._redirect_drain
             and not self._ftq
-            and self.context.state is ThreadState.RUNNING
+            and self.context.state is _RUNNING
         ):
             return self.mispredict_penalty
         return None
@@ -442,9 +456,9 @@ class FetchEngine:
 
     def stall_cause(self, now: int) -> str:
         """CPI-stack component to charge when the back-end starves."""
-        if self.context.state is ThreadState.BLOCKED:
+        if self.context.state is _BLOCKED:
             return "sync"
-        if self.context.state is ThreadState.FINISHED:
+        if self.context.state is _FINISHED:
             return "finished"
         if not self._ftq:
             if self._redirect_drain or now < self._redirect_until:
@@ -454,11 +468,11 @@ class FetchEngine:
         if not entry.pieces:
             return "other"
         piece = entry.pieces[0]
-        if piece.status is PieceStatus.REQUESTED and piece.request is not None:
+        if piece.status is _REQUESTED and piece.request is not None:
             return piece.request.stall_cause(now)
-        if piece.status is PieceStatus.WAITING:
+        if piece.status is _WAITING:
             return "icache_latency"
-        if piece.status is PieceStatus.UNISSUED:
+        if piece.status is _UNISSUED:
             return "icache_latency"
         return "other"
 

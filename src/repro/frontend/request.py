@@ -21,7 +21,7 @@ class RequestState(enum.Enum):
     DONE = "done"
 
 
-@dataclass
+@dataclass(slots=True)
 class LineRequest:
     """One outstanding I-cache line fetch from a core front-end.
 

@@ -90,6 +90,9 @@ class Bus:
         self.latency = latency
         self._arbiter = arbiter if arbiter is not None else RoundRobinArbiter(requester_count)
         self._queues: list[deque[BusRequest]] = [deque() for _ in range(requester_count)]
+        #: Requests queued across all requesters, kept by request, step
+        #: and flush_requester so idle/horizon probes never sum queues.
+        self._pending = 0
         self._busy_until = 0
         #: Busy cycles are charged up to (exclusive) this cycle; live
         #: steps settle one cycle at a time, a sleeping interconnect
@@ -122,11 +125,12 @@ class Bus:
             meta=meta,
         )
         self._queues[requester].append(req)
+        self._pending += 1
         return req
 
     @property
     def pending_requests(self) -> int:
-        return sum(len(queue) for queue in self._queues)
+        return self._pending
 
     def busy(self, now: int) -> bool:
         return now < self._busy_until
@@ -139,7 +143,7 @@ class Bus:
         change results. A queued request or an in-flight transfer (which
         counts busy cycles every step) vetoes the skip.
         """
-        return cycle >= self._busy_until and self.pending_requests == 0
+        return cycle >= self._busy_until and self._pending == 0
 
     def grant_horizon(self, cycle: int) -> int | None:
         """Earliest cycle >= ``cycle`` at which a grant could happen.
@@ -149,7 +153,7 @@ class Bus:
         recoverable in one step via :meth:`settle_busy`, so stepping the
         bus before the next request arrives is a provable no-op).
         """
-        if self.pending_requests == 0:
+        if self._pending == 0:
             return None
         return max(cycle, self._busy_until)
 
@@ -177,6 +181,8 @@ class Bus:
         if now < self._busy_until:
             self.settle_busy(now + 1)
             return None
+        if not self._pending:
+            return None
         candidates = [
             requester
             for requester, queue in enumerate(self._queues)
@@ -186,6 +192,7 @@ class Bus:
             return None
         winner = self._arbiter.select(candidates)
         request = self._queues[winner].popleft()
+        self._pending -= 1
         request.granted_at = now
         occupancy = self.transfer_cycles(request.payload_bytes)
         self._busy_until = now + occupancy
@@ -208,4 +215,5 @@ class Bus:
         queue = self._queues[requester]
         dropped = len(queue)
         queue.clear()
+        self._pending -= dropped
         return dropped

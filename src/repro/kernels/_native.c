@@ -3,8 +3,9 @@
  * Bit-identical C implementations of the two repro.kernels.pylib entry
  * points, warm_span and replay_walk: first-match scans, first-minimum
  * victim tie-breaks, lazy LRU order-list materialization, float credit
- * additions. All tables stay ordinary Python lists of ints (or None for
- * invalid ways), so capture/restore of warm state and every
+ * additions. All tables stay ordinary Python containers the simulator
+ * itself uses — lists of ints (or None for invalid ways), and the gshare
+ * counter table's bytearray — so capture/restore of warm state and every
  * pure-Python consumer keep working unchanged; the speedup comes from
  * replacing interpreter dispatch on the innermost loops, not from a
  * parallel storage format.
@@ -288,7 +289,8 @@ itlb_step(PyObject *t_map, PyObject *t_seen, long long *t_clock,
  *   -> (lb_clock, g_history, t_clock)
  * Mirrors pylib.warm_span statement for statement: the whole encoded
  * span — iTLB + lb/L1/L2 per line, gshare/loop/BTB per block — in one
- * call. t_map may be None (no iTLB). */
+ * call. t_map may be None (no iTLB). g_counters is a bytearray of more
+ * than g_mask entries, read and written as raw bytes. */
 static PyObject *
 kernels_warm_span(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -349,15 +351,24 @@ kernels_warm_span(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         !PyList_Check(t.l1_tags) || !PyList_Check(t.l1_order) ||
         !PyList_Check(t.l2_tags) || !PyList_Check(t.l2_order) ||
         !PySet_Check(t.l1_seen) || !PySet_Check(t.l2_seen) ||
-        !PyList_Check(g_counters) || !PyList_Check(lp_tags) ||
+        !PyByteArray_Check(g_counters) || !PyList_Check(lp_tags) ||
         !PyList_Check(lp_trips) || !PyList_Check(lp_currents) ||
         !PyList_Check(lp_conf) || !PyList_Check(b_tags) ||
         !PyList_Check(b_targets) ||
         (have_itlb && (!PyDict_Check(t_map) || !PySet_Check(t_seen)))) {
         PyErr_SetString(PyExc_TypeError,
-                        "warm_span table arguments must be lists/sets/dicts");
+                        "warm_span table arguments must be "
+                        "lists/sets/dicts (g_counters a bytearray)");
         return NULL;
     }
+    if (g_mask < 0 || PyByteArray_GET_SIZE(g_counters) <= g_mask) {
+        PyErr_SetString(PyExc_ValueError,
+                        "warm_span g_counters must hold more than g_mask "
+                        "entries");
+        return NULL;
+    }
+    unsigned char *g_table =
+        (unsigned char *)PyByteArray_AS_STRING(g_counters);
     Py_ssize_t blocks = PyList_GET_SIZE(starts);
     if (PyList_GET_SIZE(counts) != blocks ||
         PyList_GET_SIZE(kinds) != blocks ||
@@ -392,16 +403,13 @@ kernels_warm_span(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                 PyLong_AsLongLong(PyList_GET_ITEM(takens, index));
             Py_ssize_t gi =
                 (Py_ssize_t)(((address >> g_shift) ^ g_history) & g_mask);
-            long long counter =
-                PyLong_AsLongLong(PyList_GET_ITEM(g_counters, gi));
+            unsigned char counter = g_table[gi];
             if (taken) {
-                if (counter < 3 &&
-                    list_set_ll(g_counters, gi, counter + 1) < 0) {
-                    return NULL;
+                if (counter < 3) {
+                    g_table[gi] = counter + 1;
                 }
-            } else if (counter > 0 &&
-                       list_set_ll(g_counters, gi, counter - 1) < 0) {
-                return NULL;
+            } else if (counter > 0) {
+                g_table[gi] = counter - 1;
             }
             g_history = ((g_history << 1) | (taken ? 1 : 0)) & g_mask;
             long long tag = address >> lp_shift;

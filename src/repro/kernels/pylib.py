@@ -55,7 +55,7 @@ def warm_span(
     l2_shift: int,
     l2_set_mask: int,
     l2_seen: set[int],
-    g_counters: list[int],
+    g_counters: bytearray,
     g_history: int,
     g_mask: int,
     g_shift: int,
@@ -86,9 +86,11 @@ def warm_span(
     gshare, loop-predictor and BTB updates per block — exactly the
     per-structure operation sequences of the scalar walk, including
     LRU tie-breaks, seen-set/translation insertion order and clock
-    bumps. ``t_map=None`` skips the iTLB (a core without one). Returns
-    ``(lb_clock, g_history, t_clock)``; all tables are mutated in
-    place.
+    bumps. ``t_map=None`` skips the iTLB (a core without one).
+    ``g_counters`` is the gshare predictor's own ``bytearray`` (one
+    2-bit counter per byte, more than ``g_mask`` of them); the compiled
+    mirror accepts nothing else. Returns ``(lb_clock, g_history,
+    t_clock)``; all tables are mutated in place.
     """
     lb_range = range(len(lb_lines))
     lb_uses_get = lb_uses.__getitem__

@@ -78,7 +78,9 @@ redirect replay's phase-1 drain, via ``replay_steps``) all reduce to the
 :class:`~repro.backend.backend.CommitEngine`'s deterministic float
 credit trajectory, and each walk runs as one
 ``repro.kernels.replay_walk`` call (bit-identical float additions on
-both kernel backends).
+both kernel backends). The walk is a pure function of its arguments,
+so the back-end serves repeats from a bounded memo
+(:data:`repro.backend.backend.memo_replay_walk`).
 
 :class:`GroupInterconnectComponent` additionally batches **busy-cycle
 accounting**: a bus occupied by an in-flight transfer does nothing per
@@ -103,6 +105,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
     from repro.frontend.ports import SharedIcacheGroup
     from repro.machine.system import Core
+
+#: Thread states bound to module globals: the schedule state and the
+#: commit component compare against them once per core per cycle, and
+#: a global load is about four times cheaper than an Enum attribute.
+_RUNNING = ThreadState.RUNNING
+_BLOCKED = ThreadState.BLOCKED
+_FINISHED = ThreadState.FINISHED
 
 #: CoreScheduleState back-end window kinds.
 _NO_WINDOW = "none"
@@ -212,7 +221,7 @@ class CoreScheduleState:
     def _decide(self, now: int) -> tuple[int | None, int | None]:
         core = self.core
         state = core.context.state
-        if state is ThreadState.RUNNING:
+        if state is _RUNNING:
             frontend = core.frontend
             backend = core.backend
             if (
@@ -309,7 +318,7 @@ class CoreScheduleState:
             self._pending_cause = frontend.stall_cause(now + 1)
             self._pending_space = 0
             return (wake_at, wake_at)
-        if state is ThreadState.BLOCKED:
+        if state is _BLOCKED:
             # Blocked implies a drained pipeline (empty FTQ and IQ);
             # every elided back-end cycle charges "sync", and the
             # runtime coordinator wakes us on the hand-off.
@@ -412,7 +421,7 @@ class CoreScheduleState:
         if self.window is not _IDLE:
             return
         self.settle(now)
-        if self.core.context.state is ThreadState.RUNNING:
+        if self.core.context.state is _RUNNING:
             self.cause = self.core.frontend.stall_cause(now)
 
 
@@ -487,9 +496,9 @@ class CoreCommitComponent:
     def step(self, now: int) -> int:
         core = self.core
         state = core.context.state
-        if state is ThreadState.FINISHED:
+        if state is _FINISHED:
             return 0
-        if state is ThreadState.BLOCKED:
+        if state is _BLOCKED:
             core.backend.step(now, "sync")
             return 0
         # Pass the attribution lazily: it is only evaluated on a stall,

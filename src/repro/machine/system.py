@@ -45,7 +45,7 @@ from repro.memory.controller import FcfsBus, MemoryController
 from repro.memory.dram import DramModel
 from repro.memory.hierarchy import InstructionHierarchy
 from repro.runtime.coordinator import RuntimeCoordinator
-from repro.runtime.threads import ThreadContext, ThreadState
+from repro.runtime.threads import ThreadContext
 from repro.trace.records import SyncKind, SyncRecord, TraceRecord
 from repro.trace.stream import TraceSet, TraceStream
 
@@ -492,10 +492,12 @@ class System:
                     port.wake_listener = wake_core
 
     def all_finished(self) -> bool:
-        """True when every thread consumed its trace and drained."""
-        return all(
-            core.context.state is ThreadState.FINISHED for core in self.cores
-        )
+        """True when every thread consumed its trace and drained.
+
+        O(1): the front-end's FTQ fill is the only FINISHED transition,
+        and it reports each one to the runtime coordinator.
+        """
+        return self.runtime.finished_count == len(self.cores)
 
     # -- warm-up ---------------------------------------------------------
 

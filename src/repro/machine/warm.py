@@ -25,6 +25,12 @@ speedup. Callers that need an independent, durable snapshot serialize
 through :meth:`WarmState.to_dict`, which deep-copies into JSON
 primitives; :meth:`WarmState.from_dict` rebuilds a snapshot whose
 storage is fresh.
+
+The gshare counter table is a ``bytearray`` (one byte per 2-bit
+counter), shared by reference like the other tables; the compiled
+warming kernel writes it in place. :meth:`WarmState.to_dict` renders it
+as a list of ints, and restoring a list (a :meth:`WarmState.from_dict`
+snapshot) converts it back to a ``bytearray`` once.
 """
 
 from __future__ import annotations
@@ -79,12 +85,15 @@ class WarmState:
         The result shares no storage with any simulated machine, so it
         can be persisted or compared while simulation continues. Live
         sets (the compulsory-miss classifiers, captured by reference)
-        serialize as sorted lists, so equal states render identically.
+        serialize as sorted lists, so equal states render identically;
+        the gshare ``bytearray`` serializes as a list of ints.
         """
 
         def jsonable(value):
             if isinstance(value, (set, frozenset)):
                 return sorted(value)
+            if isinstance(value, bytearray):
+                return list(value)
             raise TypeError(f"not JSON-serialisable: {type(value)}")
 
         return json.loads(

@@ -68,6 +68,10 @@ class RuntimeCoordinator:
         self._barriers: dict[int, _JoinBarrier] = {}
         self._locks: dict[int, _Lock] = {}
         self.lock_hand_offs = 0
+        #: Threads whose trace ended (one :meth:`thread_finished` call
+        #: each): the machine's finish check compares it with the core
+        #: count instead of scanning every thread state each cycle.
+        self.finished_count = 0
         #: Ready/wake hook: wake_listener(thread_id, cycle) returns a
         #: sleeping core's components to the kernel's run list whenever
         #: a barrier release, phase start or lock hand-off unblocks its
@@ -161,6 +165,7 @@ class RuntimeCoordinator:
         that never comes) and is surfaced by the deadlock watchdog
         rather than papered over here.
         """
+        self.finished_count += 1
         for table in (self._joins, self._barriers):
             for barrier in table.values():
                 if not barrier.released and thread_id not in barrier.arrived:

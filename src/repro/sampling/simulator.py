@@ -50,7 +50,7 @@ from __future__ import annotations
 import time
 from dataclasses import fields
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.machine.config import BaseMachineConfig
 from repro.machine.results import CacheGroupResult, CoreResult, SimulationResult
 from repro.machine.simulator import SystemSimulator, simulate
@@ -486,9 +486,15 @@ class SampledSimulator:
                 if timer is not None:
                     timer.add("store_io", time.perf_counter() - io_started)
             if payload is not None:
-                hits += 1
-                entry_state = decode_state(payload)
-            else:
+                try:
+                    entry_state = decode_state(payload)
+                except ConfigurationError:
+                    # A damaged entry is a miss, like corrupt JSON in
+                    # the store: re-warm and let the put below heal it.
+                    payload = None
+                else:
+                    hits += 1
+            if payload is None:
                 misses += 1
                 ensure_warming_through(position)
                 # Hand the warm state to the measurement system by

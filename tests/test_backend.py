@@ -100,3 +100,31 @@ class TestStallAccounting:
         assert backend.stats.committed == 4
         # All cycles are pacing or commit cycles, not stalls.
         assert backend.stats.total_stall_cycles == 0
+
+
+class TestReplayWalkMemo:
+    def test_memo_is_bounded_and_changes_no_result(self):
+        """One design point run with the commit-walk memo cleared, then
+        again with it warm from the first run, gives identical results;
+        the memo's size is bounded."""
+        from repro.acmp import worker_shared_config
+        from repro.backend import backend
+        from repro.machine.serialization import result_to_dict
+        from repro.machine.simulator import simulate
+        from repro.trace.synthesis import synthesize_benchmark
+
+        config = worker_shared_config()
+        traces = synthesize_benchmark(
+            "UA", thread_count=config.core_count, scale=0.1
+        )
+        backend.memo_replay_walk.cache_clear()
+        cold = result_to_dict(simulate(config, traces))
+        warmed = backend.memo_replay_walk.cache_info()
+        assert warmed.misses > 0
+        warm = result_to_dict(simulate(config, traces))
+        info = backend.memo_replay_walk.cache_info()
+        assert info.hits > warmed.hits  # the second run was served
+        assert warm == cold
+        assert info.maxsize == backend.REPLAY_MEMO_SIZE
+        assert 0 < info.maxsize < float("inf")
+        assert info.currsize <= info.maxsize

@@ -30,6 +30,14 @@ from repro.sampling import (
     SamplingPlan,
     trace_fingerprint,
 )
+from repro.sampling.checkpoints import (
+    _decode_btb,
+    _decode_cache,
+    _decode_gshare,
+    _decode_loop,
+    decode_state,
+    encode_state,
+)
 from repro.sampling.slicer import IntervalKind, slice_traces
 from repro.sampling.warmer import core_warm_structures, scalar_walk
 from repro.trace.synthesis import synthesize_benchmark
@@ -242,3 +250,87 @@ class TestShapeDigest:
         target = model.build_system(bigger, traces)
         with pytest.raises(ConfigurationError, match="design point"):
             target.restore_warm_state(state)
+
+
+def _gshare(counters=(), history=0):
+    return {"entries": 4, "history": history, "counters": list(counters)}
+
+
+def _cache(lines=(), policy=None):
+    return {
+        "sets": 2,
+        "ways": 2,
+        "lines": list(lines),
+        "policy": policy or {"kind": "none"},
+        "seen": [],
+    }
+
+
+class TestDecoderBounds:
+    """A damaged payload fails to decode; it never wraps a negative or
+    oversized index onto another cell, or stores an impossible value."""
+
+    @pytest.mark.parametrize(
+        "decoder,payload",
+        [
+            (_decode_gshare, _gshare([[-1, 7], [1, 9]])),
+            (_decode_gshare, _gshare([[-1, 3]])),
+            (_decode_gshare, _gshare([[4, 3]])),
+            (_decode_gshare, _gshare([[1, 4]])),
+            (_decode_gshare, _gshare([[1, -1]])),
+            (_decode_gshare, _gshare(history=4)),
+            (_decode_gshare, _gshare(history=-1)),
+            (_decode_loop, {"entries": 4, "rows": [[-2, 5, 1, 0, 0]]}),
+            (_decode_loop, {"entries": 4, "rows": [[4, 5, 1, 0, 0]]}),
+            (_decode_btb, {"entries": 4, "rows": [[-2, 64, 128]]}),
+            (_decode_btb, {"entries": 4, "rows": [[4, 64, 128]]}),
+            (_decode_cache, _cache([[-1, 0, 64]])),
+            (_decode_cache, _cache([[2, 0, 64]])),
+            (_decode_cache, _cache([[0, -1, 64]])),
+            (_decode_cache, _cache([[0, 2, 64]])),
+            (
+                _decode_cache,
+                _cache(policy={"kind": "sparse", "sets": 2,
+                               "data": [[-1, [0, 1]]]}),
+            ),
+        ],
+        ids=[
+            "gshare-wrap-and-value", "gshare-negative-index",
+            "gshare-index-past-end", "gshare-counter-4",
+            "gshare-counter-negative", "gshare-history-past-end",
+            "gshare-history-negative", "loop-negative-index",
+            "loop-index-past-end", "btb-negative-index",
+            "btb-index-past-end", "cache-negative-set", "cache-set-past-end",
+            "cache-negative-way", "cache-way-past-end",
+            "policy-negative-set",
+        ],
+    )
+    def test_out_of_range_cell_is_rejected(self, decoder, payload):
+        with pytest.raises(ConfigurationError, match="outside"):
+            decoder(payload)
+
+    def test_in_range_cells_decode(self):
+        decoded = _decode_gshare(_gshare([[0, 0], [3, 3]], history=3))
+        assert decoded == {
+            "counters": bytearray([0, 2, 2, 3]), "history": 3,
+        }
+        tags = _decode_cache(_cache([[1, 1, 64]]))["tags"]
+        assert tags == [[None, None], [None, 64]]
+
+    def test_decode_state_rejects_a_damaged_real_payload(self):
+        model = get_model("acmp")
+        config = model.baseline_config()
+        traces = synthesize_benchmark(
+            "CG", thread_count=config.core_count, scale=0.05
+        )
+        payload = encode_state(
+            model.build_system(config, traces).capture_warm_state()
+        )
+        decode_state(payload)  # the undamaged payload decodes
+        payload["predictors"][0]["direction"]["counters"].append([-1, 3])
+        with pytest.raises(ConfigurationError, match="gshare index"):
+            decode_state(payload)
+        payload["predictors"][0]["direction"]["counters"][-1] = ["x", 3]
+        with pytest.raises(ConfigurationError, match="malformed"):
+            decode_state(payload)
+

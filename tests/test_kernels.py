@@ -316,7 +316,7 @@ def _random_span_state(rng, have_itlb):
         "l2_shift": 6,
         "l2_set_mask": l2_sets - 1,
         "l2_seen": set(),
-        "g_counters": [rng.randrange(4) for _ in range(64)],
+        "g_counters": bytearray(rng.randrange(4) for _ in range(64)),
         "g_history": rng.randrange(64),
         "g_mask": 63,
         "g_shift": 2,
@@ -380,6 +380,24 @@ class TestCompiledSpanEquivalence:
                     )
                 else:
                     assert value == expected, (trial, name)
+
+    def test_warm_span_checks_the_gshare_table(self, native):
+        """The compiled kernel writes gshare counters as raw bytes: it
+        takes only a bytearray, and only one larger than ``g_mask``."""
+        columns = ([0], [0], [1], [4], [0], [1])
+
+        def run(g_counters):
+            state = _random_span_state(random.Random(0), False)
+            state["g_counters"] = g_counters
+            return native.warm_span(
+                64, *columns, *(state[name] for name in _SPAN_ARG_ORDER)
+            )
+
+        run(bytearray(64))
+        with pytest.raises(TypeError, match="bytearray"):
+            run([0] * 64)
+        with pytest.raises(ValueError, match="g_mask"):
+            run(bytearray(63))
 
     def test_replay_walk(self, native):
         rng = random.Random(63)

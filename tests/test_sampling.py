@@ -307,6 +307,28 @@ class TestWarmState:
         fresh.restore_warm_state(rebuilt)
         assert fresh.capture_warm_state().to_dict() == captured
 
+    def test_gshare_table_round_trips_as_a_bytearray(self):
+        """``to_dict`` renders the byte-packed gshare table as a list;
+        restoring that list converts it back to the ``bytearray`` the
+        compiled warming kernel requires, and the snapshot reads the
+        same afterwards."""
+        model, traces, system = _warmed_system("acmp", baseline_config())
+        captured = system.capture_warm_state()
+        assert isinstance(
+            captured.predictors[0]["direction"]["counters"], bytearray
+        )
+        rendered = captured.to_dict()
+        assert isinstance(
+            rendered["predictors"][0]["direction"]["counters"], list
+        )
+        fresh = model.build_system(baseline_config(), traces)
+        fresh.restore_warm_state(WarmState.from_dict(rendered))
+        for core in fresh.cores:
+            assert isinstance(
+                core.frontend.predictor.direction._counters, bytearray
+            )
+        assert fresh.capture_warm_state().to_dict() == rendered
+
     def test_restore_rejects_other_machine(self):
         acmp_model, traces, system = _warmed_system("acmp", baseline_config())
         state = system.capture_warm_state()
