@@ -2,7 +2,11 @@
 
 The ACMP is the first implementation of the
 :class:`repro.machine.MachineModel` protocol (registered as ``acmp``);
-importing this package registers the model.
+importing this package registers the model. The result records,
+their JSON persistence and the simulation driver are machine-neutral
+and re-exported here from :mod:`repro.machine`: ``simulate`` resolves
+an :class:`AcmpConfig` to this model, and ``AcmpSimulator`` is
+:class:`~repro.machine.simulator.SystemSimulator`.
 """
 
 from repro.acmp.config import (
@@ -11,8 +15,11 @@ from repro.acmp.config import (
     baseline_config,
     worker_shared_config,
 )
-from repro.acmp.results import CacheGroupResult, CoreResult, SimulationResult
-from repro.acmp.serialization import (
+from repro.acmp.model import MODEL
+from repro.acmp.system import AcmpSystem, EventQueue
+from repro.acmp.topology import CacheGroup, Topology, build_topology
+from repro.machine.results import CacheGroupResult, CoreResult, SimulationResult
+from repro.machine.serialization import (
     load_result,
     load_results,
     result_from_dict,
@@ -20,10 +27,8 @@ from repro.acmp.serialization import (
     save_result,
     save_results,
 )
-from repro.acmp.model import MODEL
-from repro.acmp.simulator import AcmpSimulator, simulate
-from repro.acmp.system import AcmpSystem, EventQueue
-from repro.acmp.topology import CacheGroup, Topology, build_topology
+from repro.machine.simulator import SystemSimulator as AcmpSimulator
+from repro.machine.simulator import simulate
 
 __all__ = [
     "MODEL",

@@ -16,28 +16,111 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from repro import kernels
 from repro.errors import SimulationError
-from repro.kernels import (
-    REPLAY_DRAIN,
-    REPLAY_HORIZON,
-    REPLAY_NEXT,
-    REPLAY_STEPS,
-)
 from repro.utils import require_positive
+
+#: :func:`replay_walk` mode selectors: one function serves all four
+#: deterministic commit-trajectory walks of :class:`CommitEngine`, so
+#: one memo bound covers them all.
+REPLAY_NEXT = 0  # cycles_to_next_commit: first credit >= 1.0 crossing
+REPLAY_HORIZON = 1  # replay_horizon: drain/space trigger, else cap
+REPLAY_DRAIN = 2  # drain_horizon: exact queue-empty cycle, else none
+REPLAY_STEPS = 3  # replay_steps: settle a span, return the new state
+
+
+def replay_walk(
+    mode: int,
+    credit: float,
+    ipc: float,
+    iq: int,
+    count: int,
+    space_limit: int,
+):
+    """Walk a deterministic commit/pacing trajectory in one call.
+
+    The four planning/settlement walks of :class:`CommitEngine` share
+    one float credit trajectory — repeated ``credit += ipc`` additions
+    with truncating commits — whose rounding must match the stepped
+    engine bit for bit, so every mode replays exactly the additions
+    :meth:`CommitEngine.step` performs:
+
+    * ``REPLAY_NEXT`` (``cycles_to_next_commit``): the first cycle the
+      credit crosses 1.0; returns the relative cycle, or 0 when no
+      crossing lands within ``count`` cycles.
+    * ``REPLAY_HORIZON`` (``replay_horizon``): the replay-window
+      bound — one cycle past the commit that drains the queue or frees
+      ``iq <= space_limit`` room, else ``count``. Pass
+      ``space_limit=-1`` for no space gate.
+    * ``REPLAY_DRAIN`` (``drain_horizon``): the exact cycle the queue
+      empties, or 0 when it does not drain within ``count`` cycles.
+    * ``REPLAY_STEPS`` (``replay_steps``): settle ``count``
+      consecutive commit/pacing cycles; returns ``(committed,
+      base_cycles, last_commit, iq, credit, stalled)`` where
+      ``last_commit`` is the 1-based offset of the last committing
+      cycle (0 for pure pacing) and ``stalled`` flags a span that
+      crossed a stall boundary — the walk stops on the stall cycle
+      with its credit addition applied and no base cycle charged,
+      exactly the prefix state a stepped run raises from.
+
+    Every mode is pure — mode 3's caller applies the returned state —
+    which is what lets :data:`memo_replay_walk` cache it.
+    """
+    if mode == REPLAY_NEXT:
+        for ahead in range(1, count + 1):
+            credit += ipc
+            if credit >= 1.0:
+                return ahead
+        return 0
+    if mode == REPLAY_HORIZON:
+        for ahead in range(1, count + 1):
+            credit += ipc
+            commit = min(int(credit), iq)
+            if commit:
+                iq -= commit
+                credit = min(credit - commit, ipc)
+                if iq <= space_limit or iq == 0:
+                    return ahead + 1
+        return count
+    if mode == REPLAY_DRAIN:
+        for ahead in range(1, count + 1):
+            credit += ipc
+            commit = min(int(credit), iq)
+            if commit:
+                iq -= commit
+                credit = min(credit - commit, ipc)
+                if iq == 0:
+                    return ahead
+        return 0
+    committed = 0
+    base_cycles = 0
+    last_commit = 0
+    for offset in range(1, count + 1):
+        credit += ipc
+        commit = min(int(credit), iq)
+        if commit > 0:
+            iq -= commit
+            credit -= commit
+            base_cycles += 1
+            credit = min(credit, ipc)
+            committed += commit
+            last_commit = offset
+        elif credit >= 1.0:
+            return (committed, base_cycles, last_commit, iq, credit, True)
+        else:
+            base_cycles += 1
+    return (committed, base_cycles, last_commit, iq, credit, False)
+
 
 #: Bound of the commit-walk memo (distinct argument tuples kept). IPCs
 #: come from a few constants per benchmark, so a whole figure sweep
 #: walks only a few thousand distinct trajectories.
 REPLAY_MEMO_SIZE = 1 << 14
 
-#: ``kernels.replay_walk`` memoized: the walk is a pure function of
+#: :func:`replay_walk` memoized: the walk is a pure function of
 #: ``(mode, credit, ipc, iq, count, space_limit)`` and returns an int
 #: (modes 0-2) or a tuple (mode 3), so a cached result cannot be
-#: mutated by a caller. The raw kernel stays in :mod:`repro.kernels`.
-memo_replay_walk = functools.lru_cache(maxsize=REPLAY_MEMO_SIZE)(
-    kernels.replay_walk
-)
+#: mutated by a caller.
+memo_replay_walk = functools.lru_cache(maxsize=REPLAY_MEMO_SIZE)(replay_walk)
 
 #: Stall categories reported in the CPI stack (Fig. 8).
 STALL_CAUSES = (

@@ -178,11 +178,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _named_benchmarks(args) -> tuple[str, ...]:
+    """The ``--benchmarks`` names, in order (empty: the whole suite)."""
+    return tuple(
+        name.strip() for name in args.benchmarks.split(",") if name.strip()
+    )
+
+
 def _build_specs(args, machine: str) -> list[RunSpec]:
     model = get_model(machine)
-    benchmarks = tuple(
-        name.strip() for name in args.benchmarks.split(",") if name.strip()
-    ) or tuple(benchmark_names())
+    benchmarks = _named_benchmarks(args) or tuple(benchmark_names())
     seeds = tuple(
         int(part) for part in args.seeds.split(",") if part.strip() != ""
     )
@@ -301,10 +306,25 @@ def main(argv: list[str] | None = None) -> int:
         return _main_merge(argv[1:])
     if argv and argv[0] == "gc":
         return _main_gc(argv[1:])
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     setup_from_args(args)
     if args.sampling != "none":
         resolve_plan(args.sampling)  # fail fast on malformed plans
+    # Reject what every run would fail on before the sweep journals one
+    # permanent failure per design point. A corpus (--event-dir) may
+    # hold benchmarks outside the built-in suite, so names resolve at
+    # run time there.
+    if not args.scale > 0:  # NaN included
+        parser.error(f"--scale must be positive, got {args.scale}")
+    if args.event_dir is None:
+        known = benchmark_names()
+        unknown = [name for name in _named_benchmarks(args) if name not in known]
+        if unknown:
+            parser.error(
+                f"unknown benchmark(s) {', '.join(unknown)}; valid names: "
+                f"{', '.join(known)}"
+            )
     store = ResultStore(args.cache_dir)
     if args.status:
         return _status(args, store)

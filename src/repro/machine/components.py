@@ -77,9 +77,9 @@ The planning walks (``cycles_to_next_commit``, ``replay_horizon``,
 redirect replay's phase-1 drain, via ``replay_steps``) all reduce to the
 :class:`~repro.backend.backend.CommitEngine`'s deterministic float
 credit trajectory, and each walk runs as one
-``repro.kernels.replay_walk`` call (bit-identical float additions on
-both kernel backends). The walk is a pure function of its arguments,
-so the back-end serves repeats from a bounded memo
+:func:`~repro.backend.backend.replay_walk` call (the same float
+additions a stepped run performs). The walk is a pure function of its
+arguments, so the back-end serves repeats from a bounded memo
 (:data:`repro.backend.backend.memo_replay_walk`).
 
 :class:`GroupInterconnectComponent` additionally batches **busy-cycle

@@ -106,13 +106,10 @@ class SystemSimulator:
         """The run's :class:`KernelStats` as labelled ``kernel.*``
         counters (the structured successor of the flat stat bag; every
         field is absorbed automatically)."""
-        from repro.kernels import backend_name
-
         registry = MetricsRegistry()
         labels = {
             "machine": self.system.machine_name,
             "engine": "skip" if self.kernel.cycle_skip else "step",
-            "kernel_backend": backend_name(),
         }
         stats = self.kernel.stats
         for field in _dataclass_fields(stats):

@@ -27,10 +27,11 @@ primitives; :meth:`WarmState.from_dict` rebuilds a snapshot whose
 storage is fresh.
 
 The gshare counter table is a ``bytearray`` (one byte per 2-bit
-counter), shared by reference like the other tables; the compiled
-warming kernel writes it in place. :meth:`WarmState.to_dict` renders it
-as a list of ints, and restoring a list (a :meth:`WarmState.from_dict`
-snapshot) converts it back to a ``bytearray`` once.
+counter), shared by reference like the other tables; the warmer's
+:func:`~repro.sampling.warmer.lru_walk` writes it in place.
+:meth:`WarmState.to_dict` renders it as a list of ints, and restoring a
+list (a :meth:`WarmState.from_dict` snapshot) converts it back to a
+``bytearray`` once.
 """
 
 from __future__ import annotations

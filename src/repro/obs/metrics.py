@@ -3,8 +3,8 @@
 The registry is the structured replacement for the flat ``KernelStats``
 counter bag: every tier (kernel, machine, sampling, campaign, stores)
 registers named metrics with string labels (``machine``, ``engine``,
-``sampling``, ``kernel_backend``, ...) and the campaign layer merges the
-per-run payloads into a rollup without knowing what any metric means.
+``sampling``, ...) and the campaign layer merges the per-run payloads
+into a rollup without knowing what any metric means.
 
 Design constraints, in priority order:
 

@@ -12,7 +12,7 @@ Activation:
   ``obs.disable()``, or the scoped ``with obs.recording(...):``;
 * environment — ``REPRO_OBS`` read once at import: unset/``0``/``off``
   disabled, ``1``/``metrics``/``on`` metrics only, ``timeline``/``full``
-  metrics + timeline (mirrors ``REPRO_KERNELS``).
+  metrics + timeline.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ The tracer records two clock domains as two Chrome-trace "processes":
 
 * ``pid 1`` — the **simulated clock**: timestamps are cycle numbers used
   directly as microsecond ticks, so spans are exact, deterministic and
-  bit-identical across engines and kernel backends. Kernel naps, clock
-  jumps and replay windows live here, one track (tid) per component.
+  bit-identical across engines. Kernel naps, clock jumps and replay
+  windows live here, one track (tid) per component.
 * ``pid 2`` — the **host wall clock**: microseconds since the tracer was
   created. Warming, interval materialisation, measurement, store I/O and
   campaign run lifecycle live here.

@@ -1,4 +1,4 @@
-"""Functional warming: one scalar walk, one batched kernel call per span.
+"""Functional warming: one scalar walk, one LRU walk over raw tables.
 
 Functional warming is pure bookkeeping — no cycles pass, no results are
 read — so its cost is entirely Python dispatch. :func:`scalar_walk` is
@@ -10,11 +10,9 @@ one of two implementations of that walk:
 
 * a core with an LRU L1I and a stock
   :class:`~repro.branch.gshare.GsharePredictor` — every configuration
-  the experiments sample — encodes the span's basic blocks into flat
-  columns (first line and line count; terminating branch kind, key,
-  target and outcome) and warms them in one
-  :func:`repro.kernels.warm_span` call over the structures' raw tables.
-  The kernel replicates only the state-mutating updates (prediction
+  the experiments sample — takes :func:`lru_walk`, which binds the
+  structures' raw tables to locals once per span and inlines their
+  updates. It replicates only the state-mutating updates (prediction
   reads and stats counters are not warm state), except the
   compulsory-miss classifier sets (lines/pages ever seen), which are;
 * every other core takes :func:`scalar_walk` itself.
@@ -32,7 +30,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from repro import kernels
 from repro.branch.fetch_predictor import FetchPredictor
 from repro.branch.gshare import GsharePredictor
 from repro.cache.line_buffer import LineBufferSet, LookupState
@@ -52,6 +49,7 @@ __all__ = [
     "BatchedWarmer",
     "CoreWarmStructures",
     "core_warm_structures",
+    "lru_walk",
     "scalar_walk",
 ]
 
@@ -102,9 +100,9 @@ def scalar_walk(
     The scalar reference walk of one thread's span through its core's
     front-end warm structures and cache group — iTLB translation and
     line-buffer lookup per line, L1I and L2 fills on misses, fetch
-    predictor training per block. It is the specification the batched
-    kernel path is tested against, and the path cores the kernel does
-    not model take.
+    predictor training per block. It is the specification
+    :func:`lru_walk` is tested against, and the path cores that walk
+    does not model take.
     """
     buffers, predictor, itlb, l1, l2 = structures
     line_bytes = buffers.line_bytes
@@ -129,8 +127,8 @@ def scalar_walk(
     return blocks
 
 
-def _kernel_models(structures: CoreWarmStructures) -> bool:
-    """True when :func:`repro.kernels.warm_span` models this core.
+def _lru_models(structures: CoreWarmStructures) -> bool:
+    """True when :func:`lru_walk` models this core.
 
     Strict type checks: a subclass overriding ``update()`` or a
     non-LRU replacement policy must take the method-call walk to keep
@@ -142,53 +140,198 @@ def _kernel_models(structures: CoreWarmStructures) -> bool:
     )
 
 
-def _encode_span(records, start: int, end: int, line_bytes: int):
-    """Flatten the basic blocks of ``records[start:end]`` to columns.
+def lru_walk(
+    structures: CoreWarmStructures, records, start: int, end: int
+) -> int:
+    """Functionally warm ``records[start:end]``; returns blocks walked.
 
-    Per block: the first line address and line count of its fetch walk,
-    and its terminating branch as (kind, key, target, taken) with kind
-    0 = trains nothing, 1 = conditional, 2 = indirect. The block's end
-    and branch addresses are computed here rather than through the
-    record's properties: this loop runs once per warmed block.
+    :func:`scalar_walk` for a core with an LRU L1I and a stock gshare,
+    over the structures' raw tables: per line the iTLB, the line
+    buffers and the LRU L1I/L2 (order lists materialized lazily, as
+    :class:`~repro.cache.replacement.LruPolicy` does); per block the
+    gshare, loop-predictor and BTB updates. Every table is bound to a
+    local once per span and the scalar structures' clocks, history and
+    line-buffer entries are written back at the end.
     """
-    starts: list[int] = []
-    counts: list[int] = []
-    kinds: list[int] = []
-    keys: list[int] = []
-    targets: list[int] = []
-    takens: list[int] = []
-    add_start = starts.append
-    add_count = counts.append
-    add_kind = kinds.append
-    add_key = keys.append
-    add_target = targets.append
-    add_taken = takens.append
+    buffers, predictor, itlb, l1, l2 = structures
+    line_bytes = buffers.line_bytes
     line_mask = -line_bytes
+    lb_entries = buffers._entries
+    lb_lines = [entry.line for entry in lb_entries]
+    lb_uses = [entry.last_use for entry in lb_entries]
+    lb_clock = buffers._clock
+    lb_range = range(len(lb_lines))
+    lb_uses_get = lb_uses.__getitem__
+    l1_tags = l1._tags
+    l1_order = l1._policy._order
+    l1_ways = l1.ways
+    l1_shift = l1._line_shift
+    l1_set_mask = l1._set_mask
+    l1_seen = l1.stats._seen_lines
+    l2_tags = l2._tags
+    l2_order = l2._policy._order
+    l2_ways = l2.ways
+    l2_shift = l2._line_shift
+    l2_set_mask = l2._set_mask
+    l2_seen = l2.stats._seen_lines
+    direction = predictor.direction
+    g_counters = direction._counters
+    g_history = direction._history
+    g_mask = direction._mask
+    g_shift = direction._index_shift
+    loop = predictor.loop
+    lp_tags = loop._tags
+    lp_trips = loop._trips
+    lp_currents = loop._currents
+    lp_conf = loop._confidences
+    lp_mask = loop._mask
+    lp_shift = loop._index_shift
+    btb = predictor.btb
+    b_tags = btb._tags
+    b_targets = btb._targets
+    b_mask = btb._mask
+    b_shift = btb._index_shift
+    have_itlb = itlb is not None
+    if have_itlb:
+        t_map = itlb._translations
+        t_map_get = t_map.__getitem__
+        t_seen = itlb._seen_pages
+        t_clock = itlb._clock
+        t_shift = itlb._page_shift
+        t_capacity = itlb.entries
+    blocks = 0
     for record in records[start:end]:
         if type(record) is not BasicBlockRecord:
             continue
+        blocks += 1
         address = record.address
         end_address = address + record.instruction_count * INSTRUCTION_BYTES
-        start_line = address & line_mask
-        add_start(start_line)
-        add_count((end_address - start_line + line_bytes - 1) // line_bytes)
+        line = address & line_mask
+        while line < end_address:
+            if have_itlb:
+                page = line >> t_shift
+                t_clock += 1
+                if page in t_map:
+                    t_map[page] = t_clock
+                else:
+                    t_seen.add(page)
+                    if len(t_map) >= t_capacity:
+                        del t_map[min(t_map, key=t_map_get)]
+                    t_map[page] = t_clock
+            lb_clock += 1
+            for slot in lb_range:
+                if lb_lines[slot] == line:
+                    lb_uses[slot] = lb_clock
+                    break
+            else:
+                victim = min(lb_range, key=lb_uses_get)
+                lb_clock += 1
+                lb_lines[victim] = line
+                lb_uses[victim] = lb_clock
+                set_index = (line >> l1_shift) & l1_set_mask
+                row = l1_tags[set_index]
+                try:
+                    way = row.index(line)
+                    hit = True
+                except ValueError:
+                    hit = False
+                if hit:
+                    order = l1_order[set_index]
+                    if order is None:
+                        order = list(range(l1_ways))
+                        l1_order[set_index] = order
+                    order.remove(way)
+                    order.append(way)
+                else:
+                    try:
+                        way = row.index(None)
+                    except ValueError:
+                        order = l1_order[set_index]
+                        if order is None:
+                            order = list(range(l1_ways))
+                            l1_order[set_index] = order
+                        way = order[0]
+                    row[way] = line
+                    order = l1_order[set_index]
+                    if order is None:
+                        order = list(range(l1_ways))
+                        l1_order[set_index] = order
+                    order.remove(way)
+                    order.append(way)
+                    l1_seen.add(line)
+                    l2_set = (line >> l2_shift) & l2_set_mask
+                    l2_row = l2_tags[l2_set]
+                    try:
+                        l2_way = l2_row.index(line)
+                        l2_hit = True
+                    except ValueError:
+                        l2_hit = False
+                    if not l2_hit:
+                        try:
+                            l2_way = l2_row.index(None)
+                        except ValueError:
+                            order = l2_order[l2_set]
+                            if order is None:
+                                order = list(range(l2_ways))
+                                l2_order[l2_set] = order
+                            l2_way = order[0]
+                        l2_row[l2_way] = line
+                        l2_seen.add(line)
+                    order = l2_order[l2_set]
+                    if order is None:
+                        order = list(range(l2_ways))
+                        l2_order[l2_set] = order
+                    order.remove(l2_way)
+                    order.append(l2_way)
+            line += line_bytes
         branch = record.branch
-        kind = key = target = taken = 0
-        if branch is not None:
-            branch_kind = branch.kind
-            if branch_kind is _CONDITIONAL:
-                kind = 1
-                key = end_address - INSTRUCTION_BYTES
-                taken = 1 if branch.taken else 0
-            elif branch_kind is _INDIRECT:
-                kind = 2
-                key = end_address - INSTRUCTION_BYTES
-                target = branch.target
-        add_kind(kind)
-        add_key(key)
-        add_target(target)
-        add_taken(taken)
-    return starts, counts, kinds, keys, targets, takens
+        if branch is None:
+            continue
+        kind = branch.kind
+        if kind is _CONDITIONAL:
+            address = end_address - INSTRUCTION_BYTES
+            taken = branch.taken
+            gi = ((address >> g_shift) ^ g_history) & g_mask
+            counter = g_counters[gi]
+            if taken:
+                if counter < 3:
+                    g_counters[gi] = counter + 1
+            elif counter > 0:
+                g_counters[gi] = counter - 1
+            g_history = ((g_history << 1) | (1 if taken else 0)) & g_mask
+            tag = address >> lp_shift
+            lp_index = tag & lp_mask
+            if lp_tags[lp_index] != tag:
+                if not taken:
+                    lp_tags[lp_index] = tag
+                    lp_trips[lp_index] = 0
+                    lp_currents[lp_index] = 0
+                    lp_conf[lp_index] = 0
+            elif taken:
+                lp_currents[lp_index] += 1
+            else:
+                observed = lp_currents[lp_index] + 1
+                if observed == lp_trips[lp_index]:
+                    confidence = lp_conf[lp_index]
+                    if confidence < 3:
+                        lp_conf[lp_index] = confidence + 1
+                else:
+                    lp_trips[lp_index] = observed
+                    lp_conf[lp_index] = 0
+                lp_currents[lp_index] = 0
+        elif kind is _INDIRECT:
+            address = end_address - INSTRUCTION_BYTES
+            bi = (address >> b_shift) & b_mask
+            b_tags[bi] = address
+            b_targets[bi] = branch.target
+    for slot, entry in enumerate(lb_entries):
+        entry.line = lb_lines[slot]
+        entry.last_use = lb_uses[slot]
+    buffers._clock = lb_clock
+    direction._history = g_history
+    if have_itlb:
+        itlb._clock = t_clock
+    return blocks
 
 
 class BatchedWarmer:
@@ -202,8 +345,9 @@ class BatchedWarmer:
 
         self._metrics = metrics_registry()
         self._structures = core_warm_structures(system)
-        self._use_kernel = [
-            _kernel_models(structures) for structures in self._structures
+        self._walks = [
+            lru_walk if _lru_models(structures) else scalar_walk
+            for structures in self._structures
         ]
 
     def warm_interval(self, interval: Interval) -> int:
@@ -213,80 +357,13 @@ class BatchedWarmer:
             start, end = interval.spans[core_id]
             if start == end:
                 continue
-            records = self.traces.threads[core_id].records
-            if self._use_kernel[core_id]:
-                blocks += self._walk_kernel(structures, records, start, end)
-            else:
-                blocks += scalar_walk(structures, records, start, end)
-        if self._metrics is not None:
-            labels = {
-                "machine": self.system.machine_name,
-                "kernel_backend": kernels.backend_name(),
-            }
-            self._metrics.counter("warming.intervals", **labels).inc()
-            self._metrics.counter("warming.blocks", **labels).inc(blocks)
-        return blocks
-
-    def _walk_kernel(self, structures, records, start, end) -> int:
-        """Warm one span in a single kernel call over its encoding."""
-        buffers, predictor, itlb, l1, l2 = structures
-        line_bytes = buffers.line_bytes
-        columns = _encode_span(records, start, end, line_bytes)
-        lb_entries = buffers._entries
-        lb_lines = [entry.line for entry in lb_entries]
-        lb_uses = [entry.last_use for entry in lb_entries]
-        direction = predictor.direction
-        loop = predictor.loop
-        btb = predictor.btb
-        if itlb is not None:
-            itlb_tables = (
-                itlb._translations,
-                itlb._seen_pages,
-                itlb._clock,
-                itlb._page_shift,
-                itlb.entries,
+            blocks += self._walks[core_id](
+                structures, self.traces.threads[core_id].records, start, end
             )
-        else:
-            itlb_tables = (None, None, 0, 0, 0)
-        lb_clock, g_history, t_clock = kernels.warm_span(
-            line_bytes,
-            *columns,
-            lb_lines,
-            lb_uses,
-            buffers._clock,
-            l1._tags,
-            l1._policy._order,
-            l1.ways,
-            l1._line_shift,
-            l1._set_mask,
-            l1.stats._seen_lines,
-            l2._tags,
-            l2._policy._order,
-            l2.ways,
-            l2._line_shift,
-            l2._set_mask,
-            l2.stats._seen_lines,
-            direction._counters,
-            direction._history,
-            direction._mask,
-            direction._index_shift,
-            loop._tags,
-            loop._trips,
-            loop._currents,
-            loop._confidences,
-            loop._mask,
-            loop._index_shift,
-            btb._tags,
-            btb._targets,
-            btb._mask,
-            btb._index_shift,
-            *itlb_tables,
-        )
-        for slot, entry in enumerate(lb_entries):
-            entry.line = lb_lines[slot]
-            entry.last_use = lb_uses[slot]
-        buffers._clock = lb_clock
-        direction._history = g_history
-        if itlb is not None:
-            itlb._clock = t_clock
-        return len(columns[0])
+        if self._metrics is not None:
+            machine = self.system.machine_name
+            self._metrics.counter("warming.intervals", machine=machine).inc()
+            self._metrics.counter("warming.blocks", machine=machine).inc(
+                blocks
+            )
+        return blocks

@@ -1,5 +1,7 @@
 """Unit tests for the commit-rate back-end."""
 
+import random
+
 import pytest
 
 from repro.backend import CommitEngine
@@ -128,3 +130,99 @@ class TestReplayWalkMemo:
         assert info.maxsize == backend.REPLAY_MEMO_SIZE
         assert 0 < info.maxsize < float("inf")
         assert info.currsize <= info.maxsize
+
+
+def _random_engine(rng):
+    engine = CommitEngine(
+        iq_capacity=rng.choice([8, 16, 64]),
+        initial_ipc=rng.choice([0.3, 0.6, 0.75, 1.0, 1.6, 2.3]),
+    )
+    engine.iq_push(rng.randrange(0, engine.iq_capacity + 1))
+    engine._credit = rng.uniform(0.0, 0.99)
+    return engine
+
+
+def _stepped_horizons(engine, cap, space_limit):
+    """Step ``engine`` with no pushes for up to ``cap`` cycles.
+
+    Returns what the three planning walks must predict: the first
+    committing cycle, the replay-window bound (one cycle past the commit
+    that drains the queue or frees room down to ``space_limit``, else
+    ``cap``) and the draining cycle.
+    """
+    first = horizon = drain = None
+    for ahead in range(1, cap + 1):
+        if not engine.step(ahead, "other"):
+            continue
+        if first is None:
+            first = ahead
+        remaining = engine.iq_count
+        if horizon is None and (remaining <= space_limit or remaining == 0):
+            horizon = ahead + 1
+        if remaining == 0:
+            drain = ahead
+            break
+    return first, cap if horizon is None else horizon, drain
+
+
+class TestReplayWalkSpec:
+    """The CommitEngine's replay_walk-backed planning and settlement
+    walks against repeated ``step()`` calls on an identical engine."""
+
+    def test_planning_modes_match_stepped_engine(self):
+        rng = random.Random(51)
+        for trial in range(300):
+            seed = rng.randrange(1 << 30)
+            engine = _random_engine(random.Random(seed))
+            cap = rng.choice([5, 64, 4096])
+            space = rng.randrange(0, engine.iq_capacity + 1)
+            space_limit = engine.iq_capacity - space if space else -1
+            occupied = engine.iq_count > 0
+
+            first, horizon, drain = _stepped_horizons(
+                _random_engine(random.Random(seed)), cap, space_limit
+            )
+            assert engine.cycles_to_next_commit(cap) == first, trial
+            assert engine.replay_horizon(space, cap) == (
+                horizon if occupied else None
+            ), trial
+            assert engine.drain_horizon(cap) == drain, trial
+
+    def test_steps_mode_matches_stepped_settlement(self):
+        rng = random.Random(52)
+        stalls = 0
+        for trial in range(400):
+            seed = rng.randrange(1 << 30)
+            cycles = rng.randrange(1, 60)
+            replayed = _random_engine(random.Random(seed))
+            stepped = _random_engine(random.Random(seed))
+            committed = 0
+            last_commit = None
+            stall_credit = None
+            for offset in range(1, cycles + 1):
+                credit_before = stepped._credit
+                stalls_before = stepped.stats.total_stall_cycles
+                commit = stepped.step(offset, "other")
+                if stepped.stats.total_stall_cycles != stalls_before:
+                    # A replay stops on the stall cycle with its credit
+                    # earned and nothing charged — the stepped prefix.
+                    stall_credit = credit_before + stepped.ipc
+                    break
+                if commit:
+                    committed += commit
+                    last_commit = offset
+
+            if stall_credit is not None:
+                stalls += 1
+                with pytest.raises(SimulationError, match="stall boundary"):
+                    replayed.replay_steps(cycles)
+                assert repr(replayed._credit) == repr(stall_credit), trial
+            else:
+                assert replayed.replay_steps(cycles) == (
+                    committed, last_commit
+                ), trial
+                assert repr(replayed._credit) == repr(stepped._credit), trial
+            assert replayed.iq_count == stepped.iq_count, trial
+            assert replayed.stats.committed == stepped.stats.committed
+            assert replayed.stats.base_cycles == stepped.stats.base_cycles
+        assert stalls > 0, "trial mix never crossed a stall boundary"

@@ -418,6 +418,28 @@ class TestFromFailuresResume:
         assert code == 0
         assert "pruned" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "bad_args, message",
+        [
+            (["--benchmarks", "CG,NOPE", "--scale", "0.05"], "valid names"),
+            (["--scale", "0"], "--scale must be positive"),
+        ],
+        ids=["unknown-benchmark", "zero-scale"],
+    )
+    def test_cli_rejects_inputs_every_run_would_fail_on(
+        self, tmp_path, capsys, bad_args, message
+    ):
+        """A typo must not journal one permanent failure per design
+        point: the CLI exits with status 2 before touching the store."""
+        from repro.campaign.__main__ import main
+
+        cache = tmp_path / "cache"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--cache-dir", str(cache), "--quiet", *bad_args])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (cache / "failures.jsonl").exists()
+
     def test_prune_drops_only_matching_flavor(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
         spec = _tiny_spec(worker_count=2)

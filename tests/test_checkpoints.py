@@ -4,7 +4,7 @@ Three contracts:
 
 * the :class:`BatchedWarmer` is a pure speedup — the warm state it
   produces is bit-identical to the scalar reference walk's, on the
-  kernel path and on the scalar fallback alike;
+  LRU walk and on the scalar fallback alike;
 * :class:`CheckpointStore` entries are served only under their exact
   identity (header verification, shape digests) and degrade to misses,
   never to wrong state;
@@ -73,8 +73,10 @@ class TestBatchedWarmer:
     @pytest.mark.parametrize("point", ["baseline", "shared"])
     def test_batched_walk_is_bit_identical_to_scalar(self, machine, point):
         """Every I-cache policy, with and without an iTLB: LRU cores
-        take the span kernel, the others the scalar fallback, and both
-        must land on the oracle's warm state."""
+        take :func:`lru_walk`, the others the scalar fallback, and both
+        must land on the oracle's warm state. On the shared point a
+        fetch predictor and an iTLB shared by the group's cores hand
+        their history and clock from one core's walk to the next."""
         model = get_model(machine)
         make_config = (
             model.baseline_config if point == "baseline"
@@ -86,23 +88,35 @@ class TestBatchedWarmer:
         intervals = _warm_intervals(traces)
         assert intervals, "probe trace too small to slice"
 
-        for policy in ("lru", "plru", "fifo", "random"):
-            for itlb_enabled in (False, True):
-                config = make_config(
-                    icache_policy=policy, itlb_enabled=itlb_enabled
+        variants = [
+            dict(icache_policy=policy, itlb_enabled=itlb_enabled)
+            for policy in ("lru", "plru", "fifo", "random")
+            for itlb_enabled in (False, True)
+        ]
+        if point == "shared":
+            variants += [
+                dict(
+                    icache_policy=policy,
+                    itlb_enabled=True,
+                    shared_fetch_predictor=True,
+                    shared_itlb=True,
                 )
-                scalar = model.build_system(config, traces)
-                _scalar_warm(scalar, traces, intervals)
+                for policy in ("lru", "plru")
+            ]
+        for variant in variants:
+            config = make_config(**variant)
+            scalar = model.build_system(config, traces)
+            _scalar_warm(scalar, traces, intervals)
 
-                batched = model.build_system(config, traces)
-                warmer = BatchedWarmer(batched, traces)
-                blocks = sum(warmer.warm_interval(i) for i in intervals)
-                assert blocks > 0
+            batched = model.build_system(config, traces)
+            warmer = BatchedWarmer(batched, traces)
+            blocks = sum(warmer.warm_interval(i) for i in intervals)
+            assert blocks > 0
 
-                assert (
-                    batched.capture_warm_state().to_dict()
-                    == scalar.capture_warm_state().to_dict()
-                ), (policy, itlb_enabled)
+            assert (
+                batched.capture_warm_state().to_dict()
+                == scalar.capture_warm_state().to_dict()
+            ), variant
 
     def test_batched_walk_survives_a_restore(self):
         """Restores adopt snapshot storage; the warmer must keep
@@ -127,6 +141,54 @@ class TestBatchedWarmer:
         assert (
             batched.capture_warm_state().to_dict()
             == scalar.capture_warm_state().to_dict()
+        )
+
+
+class TestWarmerSpanRouting:
+    def test_non_lru_l1_takes_fallback(self, monkeypatch):
+        from repro.sampling import warmer as warmer_module
+
+        model = get_model("acmp")
+        config = model.shared_config(itlb_enabled=True, icache_policy="plru")
+        traces = synthesize_benchmark(
+            "UA", thread_count=config.core_count, scale=0.2
+        )
+        intervals = _warm_intervals(traces)
+        assert intervals, "probe trace too small to slice"
+
+        def forbidden(*args):
+            raise AssertionError("lru_walk engaged for a non-LRU L1")
+
+        monkeypatch.setattr(warmer_module, "lru_walk", forbidden)
+        warmer = BatchedWarmer(model.build_system(config, traces), traces)
+        assert sum(warmer.warm_interval(i) for i in intervals) > 0
+
+    def test_span_path_safe_after_restore(self):
+        """Restores adopt snapshot storage; the LRU walk must re-read
+        the inner tables and keep warming the adopted ones."""
+        model = get_model("acmp")
+        config = model.shared_config(itlb_enabled=True)
+        traces = synthesize_benchmark(
+            "UA", thread_count=config.core_count, scale=0.2
+        )
+        intervals = _warm_intervals(traces)
+        assert len(intervals) >= 2
+
+        first = model.build_system(config, traces)
+        BatchedWarmer(first, traces).warm_interval(intervals[0])
+        restored = model.build_system(config, traces)
+        warmer = BatchedWarmer(restored, traces)
+        restored.restore_warm_state(first.capture_warm_state())
+        warmer.warm_interval(intervals[1])
+
+        straight = model.build_system(config, traces)
+        straight_warmer = BatchedWarmer(straight, traces)
+        for interval in intervals[:2]:
+            straight_warmer.warm_interval(interval)
+
+        assert (
+            restored.capture_warm_state().to_dict()
+            == straight.capture_warm_state().to_dict()
         )
 
 

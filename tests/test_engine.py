@@ -8,12 +8,12 @@ exact-equivalence contract against the cycle-by-cycle reference engine.
 import pytest
 
 from repro.acmp import (
+    AcmpSimulator,
     baseline_config,
     result_to_dict,
     simulate,
     worker_shared_config,
 )
-from repro.acmp.simulator import AcmpSimulator
 from repro.acmp.system import AcmpSystem
 from repro.engine import NEVER, Clock, EventQueue, SimulationKernel
 from repro.errors import DeadlockError, SimulationError

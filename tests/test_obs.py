@@ -377,8 +377,8 @@ class TestPhaseTimer:
 class TestGoldenTimeline:
     def test_small_run_export_is_byte_pinned(self, tmp_path):
         """The cycle-domain event stream of a tiny deterministic run is
-        bit-identical across engines and kernel backends, so its export
-        is pinned byte-for-byte (wall-domain spans only appear when the
+        bit-identical across engines, so its export is pinned
+        byte-for-byte (wall-domain spans only appear when the
         sampling/campaign tiers run)."""
         from repro.acmp import AcmpConfig
         from repro.machine import simulate

@@ -309,9 +309,8 @@ class TestWarmState:
 
     def test_gshare_table_round_trips_as_a_bytearray(self):
         """``to_dict`` renders the byte-packed gshare table as a list;
-        restoring that list converts it back to the ``bytearray`` the
-        compiled warming kernel requires, and the snapshot reads the
-        same afterwards."""
+        restoring that list converts it back to a ``bytearray``, and the
+        snapshot reads the same afterwards."""
         model, traces, system = _warmed_system("acmp", baseline_config())
         captured = system.capture_warm_state()
         assert isinstance(

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.acmp import baseline_config, simulate
-from repro.acmp.serialization import (
+from repro.machine.serialization import (
     load_result,
     load_results,
     result_from_dict,
