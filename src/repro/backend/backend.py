@@ -210,18 +210,23 @@ class CommitEngine:
                 is only invoked on a stall — committing cycles (the
                 common case) then skip the attribution walk entirely.
         """
-        self._credit += self._ipc
-        commit = min(int(self._credit), self.iq_count)
+        # Comparisons instead of the min()/max() builtins: the same
+        # values (and float objects) for a fraction of the call cost.
+        ipc = self._ipc
+        credit = self._credit + ipc
+        commit = int(credit)
+        if commit > self.iq_count:
+            commit = self.iq_count
         if commit > 0:
             self.iq_count -= commit
-            self._credit -= commit
+            credit -= commit
             self.stats.committed += commit
             self.stats.base_cycles += 1
             # Leftover credit beyond one cycle's worth does not bank: the
             # back-end cannot commit more than its width later.
-            self._credit = min(self._credit, self._ipc)
+            self._credit = ipc if credit > ipc else credit
             return commit
-        if self._credit >= 1.0:
+        if credit >= 1.0:
             # Earned a commit slot but had nothing to commit: a stall.
             if callable(stall_cause):
                 stall_cause = stall_cause(now)
@@ -230,8 +235,10 @@ class CommitEngine:
             else:
                 cause = stall_cause if stall_cause in self.stats.stall_cycles else "other"
                 self.stats.stall_cycles[cause] += 1
-            self._credit = min(self._credit, max(1.0, self._ipc))
+            cap = ipc if ipc > 1.0 else 1.0
+            self._credit = cap if credit > cap else credit
             return 0
+        self._credit = credit
         # Sub-unit IPC pacing: not a stall, the back-end is simply narrow.
         self.stats.base_cycles += 1
         return 0

@@ -2,29 +2,33 @@
 
 :class:`SimulationKernel` owns the :class:`~repro.engine.clock.Clock`,
 the :class:`~repro.engine.events.EventQueue` and an ordered list of
-components. Components are held in a *ready set*; per simulated cycle
-the kernel:
+*slots*, each a step function registered with
+:meth:`SimulationKernel.register`. Slots are held in a *ready set*; per
+simulated cycle the kernel:
 
-1. wakes every component whose armed cycle timer is due;
+1. wakes every slot whose armed cycle timer is due;
 2. checks the registered finish condition;
 3. delivers every event due at the current cycle (event callbacks may
-   wake sleeping components);
-4. steps each **ready** component in registration order, summing the
-   progress units (committed instructions) they report;
-5. asks each ready component for a *sleep plan* and deregisters the
-   ones that certify quiescence;
-6. arms the deadlock watchdog when no progress was made.
+   wake sleeping slots);
+4. steps each **ready** slot in registration order, noting whether any
+   of them reported progress (committed instructions);
+5. arms the deadlock watchdog when no progress was made.
 
-**Sleeping and waking.** A component that cannot act — a front-end
-waiting on a line fill, a back-end with an empty instruction queue, an
-idle interconnect, a core blocked on synchronisation — returns a plan
-from :meth:`ScheduledComponent.sleep_plan`: a concrete wake-up cycle
-(redirect penalty, iTLB walk, commit pacing) arms a cycle timer;
-:data:`NEVER` means only an explicit :meth:`SimulationKernel.wake` (a
-fill completion, a barrier release) can rouse it. While asleep, a
-component is simply not on the run list; ``on_sleep``/``on_wake``
-bracket the nap so the component can batch-account the cycles it was
-never stepped for.
+**Sleeping and waking.** A slot that cannot act — a front-end waiting
+on a line fill, a back-end with an empty instruction queue, an idle
+interconnect, a core blocked on synchronisation — leaves the run list
+through :meth:`SimulationKernel.sleep`, called from inside a step of
+the current cycle (its own, or a later one of the same component that
+owns it): a concrete wake-up cycle (redirect penalty, iTLB walk, commit
+pacing) arms a cycle timer; :data:`NEVER` means only an explicit
+:meth:`SimulationKernel.wake` (a fill completion, a barrier release)
+can rouse it. While asleep, a slot is simply not on the run list; its
+``on_wake`` hook runs before it next steps, so the component can
+batch-account the cycles it was never stepped for. A slot may only be
+put to sleep by the component that owns it, after every step of that
+component in the cycle, and no step later in the same cycle may change
+what that decision read — any other cross-component effect must call
+:meth:`SimulationKernel.wake`.
 
 **Clock jumping.** When the ready set is empty, nothing can change
 until the next wake-up: the clock jumps straight to the earliest of the
@@ -36,9 +40,9 @@ whole machine to quiesce at once for per-component work to be elided.
 The contract is exact equivalence: a scheduled run must produce
 bit-identical results to the same run stepped cycle by cycle with
 ``cycle_skip=False``, including :class:`DeadlockError` firing at the
-same cycle. A component not in the ready set must therefore be a
-provable no-op for every elided cycle (modulo the batched accounting it
-performs in ``on_wake``).
+same cycle. A slot not in the ready set must therefore be a provable
+no-op for every elided cycle (modulo the batched accounting its
+``on_wake`` performs).
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 from repro.engine.clock import Clock
 from repro.engine.events import EventQueue
@@ -54,61 +57,24 @@ from repro.errors import DeadlockError, SimulationError
 from repro.obs.recorder import tracer as _active_tracer
 from repro.obs.timeline import SIM_PID
 
-#: Sleep-plan sentinel: "nothing but an explicit wake can rouse me".
+#: Sleep sentinel: "nothing but an explicit wake can rouse me".
 NEVER = 1 << 62
 
 #: Cycles without any progress before declaring a deadlock (the same
 #: window the seed engine used).
 DEFAULT_STALL_LIMIT = 200_000
 
-#: Shortest timer nap worth deregistering for. Below this, the
-#: bookkeeping (heap entries, wake transitions, re-planning) costs more
-#: than the steps it elides, so the component simply stays on the run
-#: list — always equivalent, since a ready component that cannot act
-#: steps as a no-op exactly like the reference engine. Event-only
-#: (:data:`NEVER`) sleeps are exempt: their naps are unbounded.
+#: Shortest timer nap worth sleeping for. Below this, the bookkeeping
+#: (heap entries, wake transitions, re-planning) costs more than the
+#: steps it elides, so a component simply stays on the run list —
+#: always equivalent, since a ready slot that cannot act steps as a
+#: no-op exactly like the reference engine. Event-only (:data:`NEVER`)
+#: sleeps are exempt: their naps are unbounded.
 MIN_TIMER_NAP = 4
 
-
-@runtime_checkable
-class Steppable(Protocol):
-    """Anything the kernel can step once per simulated cycle."""
-
-    def step(self, now: int) -> int | None:
-        """Advance one cycle; return progress units made (or None)."""
-
-
-class ScheduledComponent(Steppable, Protocol):
-    """A steppable that participates in the ready/wake scheduler.
-
-    The contract, checked end to end by the equivalence suite:
-
-    * ``sleep_plan(now)`` is asked after the component stepped at
-      ``now``. Returning ``None`` keeps it on the run list. Returning a
-      cycle ``w > now + 1`` promises that stepping it anywhere in
-      ``[now + 1, w)`` would be a no-op provided no wake arrives first;
-      the kernel arms a timer at ``w``. Returning :data:`NEVER` promises
-      the same for every future cycle until an explicit wake.
-    * ``on_sleep(now)`` is called when the kernel deregisters the
-      component (its nap covers cycles from ``now + 1``).
-    * ``on_wake(now)`` is called when the component re-enters the ready
-      set — by timer or by :meth:`SimulationKernel.wake` — before any
-      component steps at ``now``. This is where elided cycles are
-      batch-accounted so results match a stepped run bit for bit.
-
-    A component may also be registered with only :meth:`step`; it then
-    stays on the run list forever (and vetoes clock jumps), which is
-    always correct, just slower.
-    """
-
-    def sleep_plan(self, now: int) -> int | None:
-        """Earliest cycle at which :meth:`step` could act again."""
-
-    def on_sleep(self, now: int) -> None:
-        """The kernel deregistered this component at the end of ``now``."""
-
-    def on_wake(self, now: int) -> None:
-        """The component re-enters the ready set at ``now``."""
+#: A slot's per-cycle work: ``step(now)`` returns a truthy value when
+#: it made progress (committed instructions) this cycle.
+Step = Callable[[int], "int | None"]
 
 
 @dataclass
@@ -119,9 +85,9 @@ class KernelStats:
     cycles_skipped: int = 0
     skips: int = 0
     events_run: int = 0
-    #: Component step() calls actually made.
+    #: Slot step() calls actually made.
     component_steps: int = 0
-    #: Step() calls elided on executed cycles because the component was
+    #: Step() calls elided on executed cycles because the slot was
     #: asleep (cycles jumped over are counted in ``cycles_skipped``).
     component_steps_avoided: int = 0
     #: Transitions from asleep back into the ready set.
@@ -152,7 +118,7 @@ class KernelStats:
 
 
 class SimulationKernel:
-    """Runs registered components to completion over a shared clock."""
+    """Runs registered slots to completion over a shared clock."""
 
     def __init__(
         self,
@@ -165,18 +131,15 @@ class SimulationKernel:
         self.clock = clock if clock is not None else Clock()
         self.events = events if events is not None else EventQueue()
         self.stall_limit = stall_limit
-        #: True runs the ready/wake scheduler; False steps every
-        #: component every cycle (the bit-identical reference engine).
+        #: True runs the ready/wake scheduler; False steps every slot
+        #: every cycle (the bit-identical reference engine).
         self.cycle_skip = cycle_skip
         self.stats = KernelStats()
-        self._components: list[Steppable] = []
+        self._steps: list[Step] = []
         self._ready: list[bool] = []
         self._gen: list[int] = []
-        self._plans: list[Callable[[int], int | None] | None] = []
-        self._on_sleep: list[Callable[[int], None] | None] = []
         self._on_wake: list[Callable[[int], None] | None] = []
-        self._index_of: dict[int, int] = {}
-        self._timers: list[tuple[int, int, int]] = []  # (cycle, index, gen)
+        self._timers: list[tuple[int, int, int]] = []  # (cycle, slot, gen)
         self._ready_count = 0
         self._finished: Callable[[], bool] = lambda: False
         self._describe: Callable[[], str] | None = None
@@ -193,22 +156,33 @@ class SimulationKernel:
 
     # -- wiring ------------------------------------------------------------
 
-    def register(self, component: Steppable) -> None:
-        """Add a component; step order is registration order."""
-        index = len(self._components)
-        self._components.append(component)
+    def register(
+        self,
+        step: Step,
+        *,
+        on_wake: Callable[[int], None] | None = None,
+        name: str = "",
+    ) -> int:
+        """Add a slot stepping ``step``; return its handle.
+
+        Step order is registration order. ``on_wake(now)`` runs when the
+        slot re-enters the ready set, before any slot steps at ``now``.
+        A slot that never calls :meth:`sleep` stays on the run list
+        forever (and vetoes clock jumps), which is always correct, just
+        slower.
+        """
+        slot = len(self._steps)
+        self._steps.append(step)
         self._ready.append(True)
         self._gen.append(0)
-        self._plans.append(getattr(component, "sleep_plan", None))
-        self._on_sleep.append(getattr(component, "on_sleep", None))
-        self._on_wake.append(getattr(component, "on_wake", None))
-        self._index_of[id(component)] = index
+        self._on_wake.append(on_wake)
         self._ready_count += 1
         self._nap_from.append(-1)
         if self.tracer is not None:
             self.tracer.set_thread_name(
-                SIM_PID, index + 1, f"{index}:{type(component).__name__}"
+                SIM_PID, slot + 1, f"{slot}:{name or 'slot'}"
             )
+        return slot
 
     def set_finish_condition(self, finished: Callable[[], bool]) -> None:
         """Install the predicate that ends the run (checked per cycle)."""
@@ -222,35 +196,51 @@ class SimulationKernel:
         """Install extra diagnostic text for deadlock errors."""
         self._deadlock_detail = detail
 
-    # -- wake API ----------------------------------------------------------
+    # -- sleep/wake API ------------------------------------------------------
 
-    def wake(self, component: Steppable) -> None:
-        """Return a sleeping component to the ready set.
+    def sleep(self, slot: int, wake_at: int) -> None:
+        """Take a ready ``slot`` off the run list from the next cycle.
 
-        Safe to call for a component that is already ready (no-op). The
-        component's ``on_wake`` runs before it is next stepped, so it
-        can settle any batched accounting for the cycles it slept.
-        Waking is always allowed — a spurious wake merely costs a no-op
-        step — so callers should wake whenever in doubt.
+        Called from inside a step of the current cycle ``now``: the
+        caller promises that stepping the slot anywhere in
+        ``[now + 1, wake_at)`` would be a no-op provided no wake arrives
+        first. A cycle ``wake_at`` arms a timer there; :data:`NEVER`
+        leaves only an explicit :meth:`wake`. The reference engine
+        (``cycle_skip=False``) steps every slot every cycle, so there
+        this is a no-op; a component whose bookkeeping assumes its slot
+        sleeps must not plan at all on such a kernel.
         """
-        try:
-            index = self._index_of[id(component)]
-        except KeyError:
-            raise SimulationError(
-                f"wake() for unregistered component {component!r}"
-            ) from None
-        if self._ready[index]:
+        if not self.cycle_skip:
             return
-        self._wake_index(index, self.clock.now)
+        if wake_at < NEVER:
+            heapq.heappush(self._timers, (wake_at, slot, self._gen[slot]))
+        self._ready[slot] = False
+        self._ready_count -= 1
+        if self.tracer is not None:
+            self._nap_from[slot] = self.clock.now + 1
+
+    def wake(self, slot: int) -> None:
+        """Return a sleeping slot to the ready set.
+
+        Safe to call for a slot that is already ready (no-op). The
+        slot's ``on_wake`` runs before it is next stepped, so it can
+        settle any batched accounting for the cycles it slept. Waking is
+        always allowed — a spurious wake merely costs a no-op step — so
+        callers should wake whenever in doubt.
+        """
+        if not self._ready[slot]:
+            self._wake_index(slot, self.clock.now)
 
     def _wake_index(self, index: int, now: int) -> None:
-        on_wake = self._on_wake[index]
-        if on_wake is not None:
-            on_wake(now)
+        # Ready before the hook runs, so a hook that wakes its sibling
+        # slots never re-enters this one.
         self._ready[index] = True
         self._gen[index] += 1  # invalidate any armed timer
         self._ready_count += 1
         self.stats.wakes += 1
+        on_wake = self._on_wake[index]
+        if on_wake is not None:
+            on_wake(now)
         if self.tracer is not None:
             started = self._nap_from[index]
             if started >= 0:
@@ -298,14 +288,13 @@ class SimulationKernel:
         """
         clock = self.clock
         events = self.events
-        components = self._components
+        steps = self._steps
         ready = self._ready
         stats = self.stats
-        count = len(components)
-        indices = range(count)
+        count = len(steps)
         scheduled = self.cycle_skip
         executed = 0
-        steps = 0
+        stepped = 0
         events_run = 0
         try:
             while clock.now < max_cycles:
@@ -318,25 +307,27 @@ class SimulationKernel:
                 if self._finished():
                     return now
                 events_run += events.run_due(now)
-                progress = 0
-                for index in indices:
-                    if ready[index]:
-                        progress += components[index].step(now) or 0
-                        steps += 1
+                progress = False
+                # zip reads each ready flag when the loop reaches its
+                # slot, so a step that wakes a later slot has it step
+                # this cycle and one that sleeps a slot takes effect.
+                for step, is_ready in zip(steps, ready):
+                    if is_ready:
+                        stepped += 1
+                        if step(now):
+                            progress = True
                 executed += 1
                 if progress:
                     self._last_progress = now
                 elif now - self._last_progress > self.stall_limit:
                     self._raise_deadlock(now)
-                if scheduled:
-                    self._sleep_pass(now)
                 clock.advance()
                 if scheduled and self._ready_count == 0:
                     self._try_jump()
         finally:
             stats.cycles_executed += executed
-            stats.component_steps += steps
-            stats.component_steps_avoided += executed * count - steps
+            stats.component_steps += stepped
+            stats.component_steps_avoided += executed * count - stepped
             stats.events_run += events_run
         suffix = f" for {self._describe()}" if self._describe else ""
         raise SimulationError(
@@ -344,30 +335,6 @@ class SimulationKernel:
         )
 
     # -- scheduling --------------------------------------------------------
-
-    def _sleep_pass(self, now: int) -> None:
-        """Deregister every ready component that certifies quiescence."""
-        ready = self._ready
-        nap_floor = now + MIN_TIMER_NAP
-        for index, plan in enumerate(self._plans):
-            if plan is None or not ready[index]:
-                continue
-            wake_at = plan(now)
-            if wake_at is None:
-                continue  # could act next cycle: stay on the run list
-            if wake_at < NEVER:
-                if wake_at < nap_floor:
-                    continue  # nap too short to be worth the bookkeeping
-                heapq.heappush(
-                    self._timers, (wake_at, index, self._gen[index])
-                )
-            on_sleep = self._on_sleep[index]
-            if on_sleep is not None:
-                on_sleep(now)
-            ready[index] = False
-            self._ready_count -= 1
-            if self.tracer is not None:
-                self._nap_from[index] = now + 1  # nap covers from now + 1
 
     def _try_jump(self) -> None:
         """Ready set empty: jump the clock to the earliest wake-up.

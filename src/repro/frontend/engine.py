@@ -8,11 +8,15 @@ Pipeline stages modelled per cycle:
    (front-end flush + refill bubble). Synchronisation records are
    delivered to the runtime once the pipeline has drained.
 2. **Issue** — the fetch engine walks the FTQ's pending line *pieces* in
-   order. A piece whose line sits in a line buffer is ready immediately
+   order, within a window of the first :attr:`FetchEngine.ISSUE_WINDOW`
+   pieces. A piece whose line sits in a line buffer is ready immediately
    (no I-cache access — this is what makes the loop buffer cut shared-bus
    traffic, Fig. 9); a pending line merges; otherwise a line buffer is
    allocated and a request issued to the I-cache port (private cache or
-   shared interconnect). One new request per cycle.
+   shared interconnect). One new request per cycle. The walk only ever
+   dispositions (moves out of ``UNISSUED``) a prefix of the FTQ, so it
+   resumes after that prefix, and it runs only while an unissued piece
+   sits inside the window.
 3. **Extract** — one ready line per cycle is shifted/rotated into the
    instruction queue feeding the back-end.
 
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.branch.fetch_predictor import FetchPredictor
 from repro.cache.line_buffer import LineBufferSet, LookupState
@@ -71,16 +75,14 @@ class _Piece:
 
     line: int
     instructions: int
+    #: whether this is its basic block's last piece (the FTQ entry
+    #: frees when it is extracted).
+    last: bool = False
     status: PieceStatus = PieceStatus.UNISSUED
     request: LineRequest | None = None
     #: whether this piece's line request was already counted in the
     #: access-ratio statistics (one count per piece, ever).
     counted: bool = False
-
-
-@dataclass(slots=True)
-class _FtqEntry:
-    pieces: deque[_Piece] = field(default_factory=deque)
 
 
 @dataclass
@@ -125,13 +127,19 @@ class FetchEngine:
         self.mispredict_penalty = mispredict_penalty
         self._line_mask = ~(line_bytes - 1)
         self._line_bytes = line_bytes
-        self._ftq: deque[_FtqEntry] = deque()
+        #: The fetch target queue, flattened to its line pieces in fetch
+        #: order; ``_blocks`` counts its entries (basic blocks).
+        self._ftq: deque[_Piece] = deque()
+        self._blocks = 0
         self._redirect_until = 0
-        self._extracted_instructions = 0
-        # Issue-stage work flag: the scan over pending pieces only changes
-        # outcome after a new block is pushed, a line fill arrives, or a
-        # previous scan stopped at its one-request-per-cycle limit.
-        self._issue_pending = False
+        #: Leading FTQ pieces already dispositioned (no longer UNISSUED).
+        self._issued = 0
+        #: Whether the issue scan has work: an unissued piece sits inside
+        #: the window. A push or a fill arms it, and so does an
+        #: extraction that brings the first unissued piece into the
+        #: window; a scan that runs out of window or of line buffers
+        #: disarms it.
+        self._issue_armed = False
         #: Optional iTLB (Section VII extension); None disables translation.
         self.itlb = itlb
         self._tlb_stall_until = 0
@@ -182,29 +190,34 @@ class FetchEngine:
         """Run fill, issue and extract for this cycle."""
         if self.context.state is not _RUNNING:
             return
-        acted = self._fill_ftq(now)
-        if self._issue(now):
+        acted = False
+        # Stage 1: FTQ fill. A mispredicted branch is in flight: it
+        # resolves roughly when the pre-branch backlog commits, so fetch
+        # of the correct path cannot overlap the backlog. Wait for a
+        # full drain, then pay the redirect (flush + refill) penalty.
+        if self._redirect_drain:
+            if self._drained():
+                self.begin_redirect(now)
+                acted = True
+        elif now >= self._redirect_until and self._blocks < self.ftq_capacity:
+            acted = self._fill_ftq(now)
+        # Stage 2: issue.
+        if self._issue_armed and now >= self._tlb_stall_until:
+            self._issue(now)
             acted = True
-        if self._extract(now):
-            acted = True
+        # Stage 3: extract one ready line into the instruction queue.
+        ftq = self._ftq
+        if ftq:
+            piece = ftq[0]
+            if piece.status is _READY and self.iq_space() >= piece.instructions:
+                self._extract()
+                acted = True
         self.idle_step = not acted
 
     # -- stage 1: FTQ fill ---------------------------------------------------
 
     def _fill_ftq(self, now: int) -> bool:
-        """One fill-stage cycle; returns whether anything happened."""
-        if self._redirect_drain:
-            # A mispredicted branch is in flight: it resolves roughly when
-            # the pre-branch backlog commits, so fetch of the correct path
-            # cannot overlap the backlog. Wait for a full drain, then pay
-            # the redirect (flush + refill) penalty.
-            if not self._drained():
-                return False
-            self._redirect_drain = False
-            self._redirect_until = now + self.mispredict_penalty
-            return True
-        if now < self._redirect_until or len(self._ftq) >= self.ftq_capacity:
-            return False
+        """One fill-stage cycle past its gates; whether anything happened."""
         # Metadata records are free; process them until a basic block, a
         # sync point or the end of the trace.
         while True:
@@ -214,7 +227,6 @@ class FetchEngine:
                 self.on_ipc(record.ipc)
                 continue
             break
-        record = self.stream.peek()
         if isinstance(record, BasicBlockRecord):
             self.stream.next()
             self._push_block(record, now)
@@ -236,19 +248,24 @@ class FetchEngine:
 
     def _push_block(self, block: BasicBlockRecord, now: int) -> None:
         self.stats.blocks_fetched += 1
-        entry = _FtqEntry()
-        address = block.address
+        ftq = self._ftq
+        start = block.address
         end = block.end_address
-        line = address & self._line_mask
-        while line < end:
-            line_end = line + self._line_bytes
-            overlap_start = max(address, line)
-            overlap_end = min(end, line_end)
-            count = (overlap_end - overlap_start) // 4
-            entry.pieces.append(_Piece(line=line, instructions=count))
-            line = line_end
-        self._ftq.append(entry)
-        self._issue_pending = True
+        line = start & self._line_mask
+        line_bytes = self._line_bytes
+        # One piece per line the block touches (a block holds at least
+        # one instruction); the last piece frees the FTQ entry.
+        while True:
+            line_end = line + line_bytes
+            if end <= line_end:
+                ftq.append(_Piece(line, (end - start) // 4, True))
+                break
+            ftq.append(_Piece(line, (line_end - start) // 4))
+            start = line = line_end
+        self._blocks += 1
+        # The new pieces are unissued, so the window holds one unless it
+        # is full of dispositioned pieces already.
+        self._issue_armed = self._issued < self.ISSUE_WINDOW
         correct = self.predictor.resolve(block.branch_address, block.branch)
         if not correct:
             self.stats.redirects += 1
@@ -262,96 +279,90 @@ class FetchEngine:
 
     # -- stage 2: issue ------------------------------------------------------
 
-    def _issue(self, now: int) -> bool:
-        """One issue-stage cycle; returns whether the scan ran at all."""
-        if not self._issue_pending or now < self._tlb_stall_until:
-            return False
-        examined = 0
+    def _issue(self, now: int) -> None:
+        """One issue-stage cycle of an armed scan past any iTLB walk.
+
+        Resumes at the first unissued piece: the dispositioned pieces
+        always form a prefix, since the scan stops at the first piece it
+        cannot disposition and extraction only removes the head.
+        """
+        ftq = self._ftq
+        end = len(ftq)
+        if end > self.ISSUE_WINDOW:
+            end = self.ISSUE_WINDOW  # later pieces enter as earlier extract
+        line_buffers = self.line_buffers
+        position = self._issued
         issued_request = False
-        for entry in self._ftq:
-            for piece in entry.pieces:
-                if examined >= self.ISSUE_WINDOW:
-                    # Unissued pieces may remain beyond the window; they
-                    # enter it as earlier pieces extract.
-                    return True
-                examined += 1
-                if piece.status is not _UNISSUED:
-                    continue
-                state = self.line_buffers.lookup(piece.line, count=not piece.counted)
-                piece.counted = True
-                if state is _HIT:
-                    piece.status = _READY
-                    continue
-                if state is _PENDING:
-                    piece.status = _WAITING
-                    continue
+        while position < end:
+            piece = ftq[position]
+            state = line_buffers.lookup(piece.line, count=not piece.counted)
+            piece.counted = True
+            if state is _HIT:
+                piece.status = _READY
+            elif state is _PENDING:
+                piece.status = _WAITING
+            else:
                 if issued_request:
-                    return True  # one new request per cycle; rescan next cycle
+                    break  # one new request per cycle; rescan next cycle
                 if self.itlb is not None:
                     walk_penalty = self.itlb.translate(piece.line)
                     if walk_penalty:
                         # Page walk before the fetch can go out; the piece
-                        # stays unissued and the scan re-arms afterwards.
+                        # stays unissued and the scan resumes afterwards.
                         self._tlb_stall_until = now + walk_penalty
-                        return True
-                if not self.line_buffers.allocate(piece.line):
-                    # No free outstanding-request slot: only a fill can
-                    # unblock us, so stop rescanning until one arrives.
-                    self._issue_pending = False
-                    return True
+                        break
+                if not line_buffers.allocate(piece.line):
+                    # No free outstanding-request slot: only a fill (or
+                    # a push) re-arms the scan.
+                    self._issue_armed = False
+                    break
                 piece.request = self.port.request(piece.line, now)
                 piece.status = _REQUESTED
                 issued_request = True
-        # Every piece currently in the FTQ has been dispositioned; a new
-        # push or a fill re-arms the scan.
-        self._issue_pending = False
-        return True
+            position += 1
+        else:
+            # Every piece inside the window is dispositioned.
+            self._issue_armed = False
+        self._issued = position
 
     # -- stage 3: extract ----------------------------------------------------
 
-    def _extract(self, now: int) -> bool:
-        """One extract-stage cycle; returns whether anything moved."""
-        if not self._ftq:
-            return False
-        entry = self._ftq[0]
-        if not entry.pieces:
-            self._ftq.popleft()
-            return True
-        piece = entry.pieces[0]
-        if piece.status is not _READY:
-            return False
-        if self.iq_space() < piece.instructions:
-            return False
+    def _extract(self) -> None:
+        """Move the ready head piece into the instruction queue."""
+        ftq = self._ftq
+        piece = ftq.popleft()
         self.iq_push(piece.instructions)
-        self._extracted_instructions += piece.instructions
-        entry.pieces.popleft()
-        if not entry.pieces:
-            self._ftq.popleft()
-        return True
+        if piece.last:
+            self._blocks -= 1
+        issued = self._issued - 1  # the head was dispositioned (ready)
+        self._issued = issued
+        if issued == self.ISSUE_WINDOW - 1 and len(ftq) > issued:
+            # The first unissued piece just entered the window.
+            self._issue_armed = True
 
     # -- completion callback --------------------------------------------------
 
     def on_fill(self, request: LineRequest) -> None:
         """Line arrived: fill the line buffer and wake matching pieces."""
-        self.line_buffers.fill(request.line_address)
-        self._issue_pending = True  # a buffer freed and a line became hot
-        for entry in self._ftq:
-            for piece in entry.pieces:
-                if piece.line == request.line_address and piece.status in (
-                    _REQUESTED,
-                    _WAITING,
-                ):
-                    piece.status = _READY
+        line = request.line_address
+        self.line_buffers.fill(line)
+        for piece in self._ftq:
+            if piece.line == line and piece.status in (_REQUESTED, _WAITING):
+                piece.status = _READY
+        # A buffer freed and a line became hot: rescan if the window
+        # holds an unissued piece.
+        issued = self._issued
+        self._issue_armed = issued < self.ISSUE_WINDOW and issued < len(self._ftq)
 
     # -- ready/wake support -----------------------------------------------------
 
     def sleep_state(self, now: int) -> tuple[int | None, int]:
         """Whether (and until when) this front-end may leave the run list.
 
-        Part of the scheduler's ready/wake contract
-        (:class:`repro.engine.kernel.ScheduledComponent`, applied per
-        core by :class:`repro.acmp.components.CoreScheduleState`).
-        Returns ``(wake, space_needed)``:
+        Part of the scheduler's ready/wake contract (see
+        :meth:`repro.engine.SimulationKernel.sleep`), read by the core's
+        :class:`repro.machine.components.CoreUnit` when it plans its
+        sleeps. Returns ``(wake, space_needed)``:
 
         * ``wake is None`` — the front-end could act at ``now``; it must
           stay on the run list.
@@ -379,22 +390,19 @@ class FetchEngine:
         space_needed = 0
         # Extract: a ready head piece with IQ room would be consumed.
         if self._ftq:
-            entry = self._ftq[0]
-            if not entry.pieces:
-                return (None, 0)  # the empty entry would be popped
-            piece = entry.pieces[0]
+            piece = self._ftq[0]
             if piece.status is _READY:
                 if self.iq_space() >= piece.instructions:
                     return (None, 0)
                 space_needed = piece.instructions
         # Issue: an armed scan runs (and may mutate counters) unless an
         # iTLB walk holds it back until a known cycle.
-        if self._issue_pending:
+        if self._issue_armed:
             if now >= self._tlb_stall_until:
                 return (None, 0)
             if self._tlb_stall_until < horizon:
                 horizon = self._tlb_stall_until
-        # FTQ fill: mirror _fill_ftq's gating exactly.
+        # FTQ fill: mirror step's fill gates exactly.
         if self._redirect_drain:
             if self._drained():
                 return (None, 0)  # the redirect penalty would start now
@@ -404,7 +412,7 @@ class FetchEngine:
         elif now < self._redirect_until:
             if self._redirect_until < horizon:
                 horizon = self._redirect_until
-        elif len(self._ftq) < self.ftq_capacity:
+        elif self._blocks < self.ftq_capacity:
             record = self.stream.peek()
             if isinstance(record, (SyncRecord, EndRecord)):
                 if self._drained():
@@ -421,7 +429,7 @@ class FetchEngine:
         """Penalty length when the redirect trajectory is deterministic.
 
         The scheduler's redirect-replay window
-        (:class:`repro.machine.components.CoreScheduleState`) may
+        (:class:`repro.machine.components.CoreUnit`) may
         batch-settle this front-end across the whole drain + penalty
         span when the remaining trajectory is already decided: a
         mispredict drain is pending and the FTQ is empty, so no fills,
@@ -442,12 +450,12 @@ class FetchEngine:
     def begin_redirect(self, now: int) -> None:
         """Replay the drain-complete transition of a stepped cycle ``now``.
 
-        Exactly what :meth:`_fill_ftq` does on the first cycle it
-        observes a completed drain: clear the drain flag and start the
-        redirect (flush + refill) penalty. The redirect-replay window
-        calls this during settlement for the cycle after the batched
-        drain commit, so fetch resumes at ``now + mispredict_penalty``
-        — the same cycle a stepped run's would.
+        Clears the drain flag and starts the redirect (flush + refill)
+        penalty. :meth:`step` calls it on the first cycle it observes a
+        completed drain; the redirect-replay window calls it during
+        settlement for the cycle after the batched drain commit, so
+        fetch resumes at ``now + mispredict_penalty`` — the same cycle a
+        stepped run's would.
         """
         self._redirect_drain = False
         self._redirect_until = now + self.mispredict_penalty
@@ -464,10 +472,7 @@ class FetchEngine:
             if self._redirect_drain or now < self._redirect_until:
                 return "branch"
             return "other"
-        entry = self._ftq[0]
-        if not entry.pieces:
-            return "other"
-        piece = entry.pieces[0]
+        piece = self._ftq[0]
         if piece.status is _REQUESTED and piece.request is not None:
             return piece.request.stall_cause(now)
         if piece.status is _WAITING:
@@ -478,4 +483,4 @@ class FetchEngine:
 
     @property
     def ftq_occupancy(self) -> int:
-        return len(self._ftq)
+        return self._blocks

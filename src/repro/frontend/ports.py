@@ -88,8 +88,9 @@ class SharedIcacheGroup:
     """A group of cores sharing one I-cache behind an I-interconnect.
 
     The group owns the multi-bus (single or double, Section VI-B), the
-    shared cache, its MSHRs and the L2 hierarchy behind it. It must be
-    stepped once per cycle by the system simulator.
+    shared cache, its MSHRs and the L2 hierarchy behind it. Its
+    interconnect component steps it on every cycle a grant may happen
+    (see :meth:`wake_horizon`).
     """
 
     def __init__(
@@ -222,17 +223,12 @@ class SharedIcacheGroup:
         """Drop a core's not-yet-granted bus requests (redirect flush)."""
         return self.interconnect.flush_requester(self._slot_of[core_id])
 
-    def idle_at(self, cycle: int) -> bool:
-        """True when stepping the group at ``cycle`` is provably a no-op.
+    def wake_horizon(self, cycle: int) -> int | None:
+        """Sleep plan for the group's interconnect component.
 
         All in-flight work past the bus (cache accesses, L2/DRAM misses,
         MSHR completions) lives in the kernel's event queue, so only the
         interconnect needs per-cycle stepping.
-        """
-        return self.interconnect.idle_at(cycle)
-
-    def wake_horizon(self, cycle: int) -> int | None:
-        """Sleep plan for the group's interconnect component.
 
         ``None`` keeps the component on the run list (a grant is
         possible at ``cycle``); a later cycle promises no grant before

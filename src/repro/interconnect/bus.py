@@ -91,7 +91,7 @@ class Bus:
         self._arbiter = arbiter if arbiter is not None else RoundRobinArbiter(requester_count)
         self._queues: list[deque[BusRequest]] = [deque() for _ in range(requester_count)]
         #: Requests queued across all requesters, kept by request, step
-        #: and flush_requester so idle/horizon probes never sum queues.
+        #: and flush_requester so horizon probes never sum queues.
         self._pending = 0
         self._busy_until = 0
         #: Busy cycles are charged up to (exclusive) this cycle; live
@@ -131,19 +131,6 @@ class Bus:
     @property
     def pending_requests(self) -> int:
         return self._pending
-
-    def busy(self, now: int) -> bool:
-        return now < self._busy_until
-
-    def idle_at(self, cycle: int) -> bool:
-        """True when stepping this bus at ``cycle`` is provably a no-op.
-
-        Used by the cycle-skipping fast path: an idle bus grants nothing
-        and accrues no busy/wait statistics, so skipping its step cannot
-        change results. A queued request or an in-flight transfer (which
-        counts busy cycles every step) vetoes the skip.
-        """
-        return cycle >= self._busy_until and self._pending == 0
 
     def grant_horizon(self, cycle: int) -> int | None:
         """Earliest cycle >= ``cycle`` at which a grant could happen.

@@ -82,10 +82,6 @@ class MultiBus:
     def flush_requester(self, requester: int) -> int:
         return sum(bus.flush_requester(requester) for bus in self.buses)
 
-    def idle_at(self, cycle: int) -> bool:
-        """True when stepping every bus at ``cycle`` is provably a no-op."""
-        return all(bus.idle_at(cycle) for bus in self.buses)
-
     def grant_horizon(self, cycle: int) -> int | None:
         """Earliest cycle >= ``cycle`` at which any bus could grant.
 

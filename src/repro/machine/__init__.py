@@ -2,19 +2,14 @@
 
 Everything machine-neutral that the per-machine packages
 (:mod:`repro.acmp`, :mod:`repro.scmp`) build on: the shared
-configuration substrate, cache-group topology dataclasses, per-core
-ready/wake kernel components, the system assembly base class, the
+configuration substrate, cache-group topology dataclasses, the
+self-scheduling per-core unit and interconnect kernel components, the system assembly base class, the
 simulator driver, result records with JSON persistence, and the
 :class:`MachineModel` protocol + registry that the campaign and
 experiment layers resolve machines through.
 """
 
-from repro.machine.components import (
-    CoreCommitComponent,
-    CoreFrontendComponent,
-    CoreScheduleState,
-    GroupInterconnectComponent,
-)
+from repro.machine.components import CoreUnit, GroupInterconnectComponent
 from repro.machine.config import BaseMachineConfig
 from repro.machine.model import (
     MachineModel,
@@ -41,9 +36,7 @@ __all__ = [
     "CacheGroup",
     "CacheGroupResult",
     "Core",
-    "CoreCommitComponent",
-    "CoreFrontendComponent",
-    "CoreScheduleState",
+    "CoreUnit",
     "GroupInterconnectComponent",
     "MachineModel",
     "SimulationResult",

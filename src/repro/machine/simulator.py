@@ -1,7 +1,7 @@
 """The cycle-level simulation driver, machine-model agnostic.
 
-Per-cycle order of operations (encoded as per-core kernel components,
-see :mod:`repro.machine.components`):
+Per-cycle order of operations (encoded as kernel slots of the per-core
+units and interconnects, see :mod:`repro.machine.components`):
 
 1. scheduled completions land (line-buffer fills, cache refills);
 2. every runnable core's front-end steps (FTQ fill, issue, extract);
@@ -94,12 +94,10 @@ class SystemSimulator:
             for component in self.system.interconnect_components
         )
         self.kernel.stats.commit_cycles_batched += sum(
-            state.commit_cycles_batched
-            for state in self.system.schedule_states
+            unit.commit_cycles_batched for unit in self.system.core_units
         )
         self.kernel.stats.redirect_cycles_batched += sum(
-            state.redirect_cycles_batched
-            for state in self.system.schedule_states
+            unit.redirect_cycles_batched for unit in self.system.core_units
         )
 
     def run_metrics(self) -> MetricsRegistry:

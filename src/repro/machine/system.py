@@ -32,12 +32,7 @@ from repro.frontend.ports import PrivateIcachePort, SharedIcacheGroup
 from repro.interconnect.arbitration import WeightedArbiter, make_arbiter
 from repro.interconnect.crossbar import Crossbar
 from repro.interconnect.multibus import MultiBus
-from repro.machine.components import (
-    CoreCommitComponent,
-    CoreFrontendComponent,
-    CoreScheduleState,
-    GroupInterconnectComponent,
-)
+from repro.machine.components import CoreUnit, GroupInterconnectComponent
 from repro.machine.config import BaseMachineConfig
 from repro.machine.results import CacheGroupResult, CoreResult, SimulationResult
 from repro.machine.topology import CacheGroup, Topology
@@ -202,9 +197,9 @@ class System:
         #: Interconnect components registered with the kernel; the
         #: simulator aggregates their batched-busy counters after a run.
         self.interconnect_components: list[GroupInterconnectComponent] = []
-        #: Per-core schedule states registered with the kernel; the
-        #: simulator aggregates their commit-replay counters after a run.
-        self.schedule_states: list[CoreScheduleState] = []
+        #: Per-core units registered with the kernel; the simulator
+        #: aggregates their commit-replay counters after a run.
+        self.core_units: list[CoreUnit] = []
         self._build()
 
     # -- machine hooks -----------------------------------------------------
@@ -384,33 +379,27 @@ class System:
     # -- kernel wiring ---------------------------------------------------
 
     def register_components(self, kernel) -> None:
-        """Build and register the machine's scheduler components.
+        """Build and register the machine's scheduler slots.
 
-        The kernel must share :attr:`events`. Registration order — all
-        front-ends in core order, then the shared interconnects in
-        group order, then all back-ends in core order — reproduces the
-        stepped engine's per-cycle order of operations exactly, which
-        keeps scheduled runs deterministic and bit-identical to
-        ``cycle_skip=False`` reference runs.
+        The kernel must share :attr:`events`. Registration order — every
+        core's front phase in core order, then the shared interconnects
+        in group order, then every core's commit phase in core order —
+        reproduces the stepped engine's per-cycle order of operations
+        exactly, which keeps scheduled runs deterministic and
+        bit-identical to ``cycle_skip=False`` reference runs.
 
         Also wires the wake plumbing: fill completions and barrier/lock
         hand-offs return sleeping cores to the run list, new bus
         requests wake idle interconnects, and in-flight request
         lifecycle transitions settle sleeping cores' batched stall
         attribution. The commit-replay lever additionally needs the
-        watchdog plumbing (batched commits report their true cycle to
-        the kernel, and windows never cross the firing horizon) and the
         ICOUNT observability gate: a core whose ``iq_count`` feeds a
         shared group's urgency-based arbitration must keep its queue
         count current every cycle, so it only opens constant-count
         pacing windows.
         """
-        states = [CoreScheduleState(core) for core in self.cores]
-        self.schedule_states = states
-        guard = lambda: kernel.last_progress + kernel.stall_limit + 1  # noqa: E731
-        for state in states:
-            state.note_progress = kernel.note_progress
-            state.progress_guard = guard
+        units = [CoreUnit(core, kernel) for core in self.cores]
+        self.core_units = units
         tracer = getattr(kernel, "tracer", None)
         if tracer is not None:
             # Timeline tracing: settled replay windows become spans on
@@ -418,14 +407,14 @@ class System:
             from repro.obs.timeline import SIM_PID
 
             base = kernel._ts_base
-            for state in states:
+            for unit in units:
 
                 def trace_window(
                     kind: str,
                     start: int,
                     cycles: int,
                     *,
-                    _core_id: int = state.core.core_id,
+                    _core_id: int = unit.core.core_id,
                 ) -> None:
                     tracer.complete(
                         f"replay:{kind}",
@@ -436,49 +425,49 @@ class System:
                         tid=1000 + _core_id,
                     )
 
-                state.trace_window = trace_window
+                unit.trace_window = trace_window
                 tracer.set_thread_name(
                     SIM_PID,
-                    1000 + state.core.core_id,
-                    f"core{state.core.core_id}:replay-windows",
+                    1000 + unit.core.core_id,
+                    f"core{unit.core.core_id}:replay-windows",
                 )
         if self.config.arbitration == "icount":
             for group in self.topology.groups:
                 if not group.shared:
                     continue
                 for core_id in group.core_ids:
-                    states[core_id].iq_observed = True
-        fronts = [
-            CoreFrontendComponent(core, state)
-            for core, state in zip(self.cores, states)
-        ]
-        commits = [
-            CoreCommitComponent(core, state)
-            for core, state in zip(self.cores, states)
-        ]
-        for front in fronts:
-            kernel.register(front)
+                    units[core_id].iq_observed = True
+        for unit in units:
+            unit.front_slot = kernel.register(
+                unit.frontend.step,
+                on_wake=unit.front_woke,
+                name=f"core{unit.core.core_id}.front",
+            )
         for hardware in self.group_hardware:
             if hardware.shared is None:
                 continue
-            component = GroupInterconnectComponent(hardware.shared)
-            kernel.register(component)
+            component = GroupInterconnectComponent(hardware.shared, kernel)
+            component.slot = kernel.register(
+                component.step,
+                on_wake=component.woke,
+                name=f"group{hardware.group.index}.interconnect",
+            )
             self.interconnect_components.append(component)
             hardware.shared.activity_listener = (
-                lambda c=component: kernel.wake(c)
+                lambda slot=component.slot: kernel.wake(slot)
             )
-        for commit in commits:
-            kernel.register(commit)
-
-        for state, front in zip(states, fronts):
-            state.wake_front = lambda f=front: kernel.wake(f)
+        for unit in units:
+            unit.commit_slot = kernel.register(
+                unit.commit_step,
+                on_wake=unit.commit_woke,
+                name=f"core{unit.core.core_id}.commit",
+            )
 
         def wake_core(core_id: int) -> None:
-            kernel.wake(fronts[core_id])
-            kernel.wake(commits[core_id])
+            units[core_id].wake()
 
         def settle_core(core_id: int, now: int) -> None:
-            states[core_id].stall_transition(now)
+            units[core_id].stall_transition(now)
 
         self.runtime.wake_listener = lambda thread_id, _now: wake_core(
             thread_id

@@ -201,18 +201,49 @@ def _encode_policy(state) -> dict:
     }
 
 
-def _decode_policy(payload: dict):
+#: The values a tree-PLRU bit may hold.
+_PLRU_BITS = frozenset((0, 1))
+
+
+def _damaged_policy(what: str, value, ways: int) -> ConfigurationError:
+    return ConfigurationError(
+        f"checkpoint replacement {what} {value!r} invalid for {ways} ways"
+    )
+
+
+def _decode_policy(payload: dict, ways: int):
+    """Replacement state, checked against the cache's ``ways``.
+
+    A damaged order would otherwise surface mid-run (an LRU row that is
+    not a permutation fails its first ``remove``) or silently pick
+    impossible victims, so every row is checked here, with one C-level
+    comparison each: a dense FIFO pointer must lie in ``[0, ways)``; a
+    sparse row holds ``ways`` entries for LRU (a permutation of
+    ``range(ways)``) or ``ways - 1`` for PLRU (bits 0/1).
+    """
     kind = payload["kind"]
     if kind == "none":
         return None
     if kind == "dense":
-        return list(payload["data"])
+        pointers = list(payload["data"])
+        if pointers and not (min(pointers) >= 0 and max(pointers) < ways):
+            raise _damaged_policy("FIFO pointers", pointers, ways)
+        return pointers
     sets = int(payload["sets"])
+    every_way = set(range(ways))
     order: list[list[int] | None] = [None] * sets
     for index, entry in payload["data"]:
         if not 0 <= index < sets:
             raise _out_of_range("replacement-order set", index, sets)
-        order[index] = list(entry)
+        row = list(entry)
+        if len(row) == ways:
+            if set(row) != every_way:
+                raise _damaged_policy("LRU order", row, ways)
+        elif len(row) != ways - 1:
+            raise _damaged_policy("row", row, ways)
+        elif not _PLRU_BITS.issuperset(row):
+            raise _damaged_policy("PLRU bits", row, ways)
+        order[index] = row
     return order
 
 
@@ -244,7 +275,7 @@ def _decode_cache(payload: dict) -> dict:
         tags[set_index][way] = line
     return {
         "tags": tags,
-        "policy": _decode_policy(payload["policy"]),
+        "policy": _decode_policy(payload["policy"], ways),
         "seen": set(payload["seen"]),
     }
 
@@ -316,9 +347,10 @@ def decode_state(payload: dict) -> WarmState:
     The inverse of :func:`encode_state`; every decode owns independent
     tables, so restoring the result never couples two systems. Raises
     :class:`~repro.errors.ConfigurationError` on a damaged payload:
-    missing fields, wrong types, or a cell outside its table (an index
+    missing fields, wrong types, a cell outside its table (an index
     outside ``[0, entries)``/``[0, sets)``/``[0, ways)``, a gshare
-    counter outside 0..3 or history outside ``[0, entries)``).
+    counter outside 0..3 or history outside ``[0, entries)``), or
+    replacement state no policy could hold (see :func:`_decode_policy`).
     """
     try:
         return WarmState(

@@ -318,10 +318,10 @@ def _gshare(counters=(), history=0):
     return {"entries": 4, "history": history, "counters": list(counters)}
 
 
-def _cache(lines=(), policy=None):
+def _cache(lines=(), policy=None, ways=2):
     return {
         "sets": 2,
-        "ways": 2,
+        "ways": ways,
         "lines": list(lines),
         "policy": policy or {"kind": "none"},
         "seen": [],
@@ -370,6 +370,42 @@ class TestDecoderBounds:
     def test_out_of_range_cell_is_rejected(self, decoder, payload):
         with pytest.raises(ConfigurationError, match="outside"):
             decoder(payload)
+
+    @pytest.mark.parametrize(
+        "policy,ways",
+        [
+            ({"kind": "sparse", "sets": 2, "data": [[0, [1, 1]]]}, 2),
+            ({"kind": "sparse", "sets": 2, "data": [[0, [0, 2]]]}, 2),
+            ({"kind": "sparse", "sets": 2, "data": [[1, [3, 0, 1, 1]]]}, 4),
+            ({"kind": "sparse", "sets": 2, "data": [[0, [0, 1]]]}, 4),
+            ({"kind": "sparse", "sets": 2, "data": [[0, [0, 1, 2]]]}, 2),
+            ({"kind": "sparse", "sets": 2, "data": [[0, [1, 2, 0]]]}, 4),
+            ({"kind": "sparse", "sets": 2, "data": [[0, [2]]]}, 2),
+            ({"kind": "dense", "data": [0, 2]}, 2),
+            ({"kind": "dense", "data": [-1, 0]}, 2),
+        ],
+        ids=[
+            "lru-duplicate-way", "lru-way-past-end", "lru-not-permutation",
+            "row-too-short", "row-too-long", "plru-bit-2",
+            "plru-single-bit-2", "fifo-pointer-past-end",
+            "fifo-pointer-negative",
+        ],
+    )
+    def test_damaged_replacement_state_is_rejected(self, policy, ways):
+        with pytest.raises(ConfigurationError, match="replacement"):
+            _decode_cache(_cache(policy=policy, ways=ways))
+
+    def test_valid_replacement_state_decodes(self):
+        lru = {"kind": "sparse", "sets": 2, "data": [[1, [3, 0, 2, 1]]]}
+        plru = {"kind": "sparse", "sets": 2, "data": [[0, [1, 0, 1]]]}
+        fifo = {"kind": "dense", "data": [3, 0]}
+        assert _decode_cache(_cache(policy=lru, ways=4))["policy"] == [
+            None, [3, 0, 2, 1],
+        ]
+        assert _decode_cache(_cache(policy=plru, ways=4))["policy"] == [
+            [1, 0, 1], None,
+        ]
+        assert _decode_cache(_cache(policy=fifo, ways=4))["policy"] == [3, 0]
 
     def test_in_range_cells_decode(self):
         decoded = _decode_gshare(_gshare([[0, 0], [3, 3]], history=3))

@@ -84,22 +84,22 @@ class TestEventQueue:
 class _CountdownComponent:
     """Commits one unit per cycle for `work` cycles, then goes to sleep."""
 
-    def __init__(self, work: int) -> None:
+    def __init__(self, kernel: SimulationKernel, work: int) -> None:
+        self.kernel = kernel
         self.work = work
         self.slept_from: int | None = None
         self.woken_at: list[int] = []
+        self.slot = kernel.register(self.step, on_wake=self.on_wake)
 
     def step(self, now: int) -> int:
+        progress = 0
         if self.work > 0:
             self.work -= 1
-            return 1
-        return 0
-
-    def sleep_plan(self, now: int) -> int | None:
-        return NEVER if self.work == 0 else None
-
-    def on_sleep(self, now: int) -> None:
-        self.slept_from = now + 1
+            progress = 1
+        if self.work == 0 and self.kernel.cycle_skip:
+            self.kernel.sleep(self.slot, NEVER)
+            self.slept_from = now + 1
+        return progress
 
     def on_wake(self, now: int) -> None:
         self.woken_at.append(now)
@@ -108,22 +108,19 @@ class _CountdownComponent:
 class TestKernel:
     def test_finish_condition_ends_run(self):
         kernel = SimulationKernel(cycle_skip=False)
-        component = _CountdownComponent(work=5)
-        kernel.register(component)
+        component = _CountdownComponent(kernel, work=5)
         kernel.set_finish_condition(lambda: component.work == 0)
         assert kernel.run(max_cycles=100) == 5
 
     def test_max_cycles_guard(self):
         kernel = SimulationKernel(cycle_skip=False)
-        component = _CountdownComponent(work=1 << 30)
-        kernel.register(component)
+        _CountdownComponent(kernel, work=1 << 30)
         with pytest.raises(SimulationError, match="max_cycles"):
             kernel.run(max_cycles=10)
 
     def test_empty_ready_set_jumps_to_next_event(self):
         kernel = SimulationKernel()
-        component = _CountdownComponent(work=3)
-        kernel.register(component)
+        component = _CountdownComponent(kernel, work=3)
         finished = []
         kernel.events.schedule(1000, lambda: finished.append(True))
         kernel.set_finish_condition(lambda: bool(finished))
@@ -146,24 +143,20 @@ class TestKernel:
             def __init__(self) -> None:
                 self.commit_cycles: list[int] = []
                 self.woken_at: list[int] = []
+                self.slot = kernel.register(self.step, on_wake=self.on_wake)
 
             def step(self, now: int) -> int:
+                progress = 0
                 if now in (0, 100):
                     self.commit_cycles.append(now)
-                    return 1
-                return 0
-
-            def sleep_plan(self, now: int) -> int | None:
-                return 100 if now < 100 else NEVER
-
-            def on_sleep(self, now: int) -> None:
-                pass
+                    progress = 1
+                kernel.sleep(self.slot, 100 if now < 100 else NEVER)
+                return progress
 
             def on_wake(self, now: int) -> None:
                 self.woken_at.append(now)
 
         napper = Napper()
-        kernel.register(napper)
         kernel.set_finish_condition(lambda: len(napper.commit_cycles) == 2)
         assert kernel.run(max_cycles=10_000) == 101
         assert napper.woken_at == [100]
@@ -172,12 +165,11 @@ class TestKernel:
 
     def test_explicit_wake_from_event_steps_same_cycle(self):
         kernel = SimulationKernel()
-        component = _CountdownComponent(work=1)
-        kernel.register(component)
+        component = _CountdownComponent(kernel, work=1)
 
         def refill():
             component.work = 2
-            kernel.wake(component)
+            kernel.wake(component.slot)
 
         kernel.events.schedule(50, refill)
         kernel.set_finish_condition(
@@ -194,8 +186,7 @@ class TestKernel:
         # jump must not overshoot the watchdog: the deadlock fires at
         # exactly the cycle the stepped engine would raise at.
         kernel = SimulationKernel(stall_limit=500)
-        component = _CountdownComponent(work=2)
-        kernel.register(component)
+        _CountdownComponent(kernel, work=2)
         with pytest.raises(DeadlockError, match="cycle 502"):
             kernel.run(max_cycles=1_000_000)
         # Last progress at cycle 1; watchdog fires at 1 + 500 + 1.
@@ -207,7 +198,7 @@ class TestKernel:
                 return 0
 
         kernel = SimulationKernel(stall_limit=100)
-        kernel.register(Bare())
+        kernel.register(Bare().step)
         with pytest.raises(DeadlockError):
             kernel.run(max_cycles=1_000)
         assert kernel.stats.cycles_skipped == 0
@@ -277,6 +268,41 @@ class TestCycleSkipEquivalence:
         simulator = AcmpSimulator(system, cycle_skip=False)
         simulator.run()
         assert simulator.kernel.stats.cycles_skipped == 0
+
+
+class TestCoreUnit:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            baseline_config(worker_count=4, iq_capacity=256),
+            worker_shared_config(cores_per_cache=4, itlb_enabled=True),
+            worker_shared_config(arbitration="icount"),
+        ],
+        ids=["private-big-iq", "shared-itlb", "shared-icount"],
+    )
+    def test_front_phase_never_steps_while_commit_phase_sleeps(self, config):
+        """Only the commit phase plans a unit's sleeps, and its windows
+        assume a sleeping front-end, so no front phase may ever step
+        behind a sleeping commit phase."""
+        traces = synthesize_benchmark(
+            "UA", thread_count=config.core_count, scale=0.05, seed=2
+        )
+        system = AcmpSystem(config, traces)
+        system.warm_instruction_l2s()
+        simulator = AcmpSimulator(system)
+        kernel = simulator.kernel
+        fronts = []
+        for unit in system.core_units:
+            front_step = kernel._steps[unit.front_slot]
+
+            def checked(now, unit=unit, front_step=front_step):
+                assert not unit.commit_asleep, f"core {unit.core.core_id}"
+                fronts.append(now)
+                return front_step(now)
+
+            kernel._steps[unit.front_slot] = checked
+        simulator.run()
+        assert fronts and kernel.stats.commit_cycles_batched > 0
 
 
 class TestDeadlockAcrossSkips:

@@ -265,7 +265,7 @@ class TestSharedFetchPath:
         engine = cores[0][0]
         engine.step(0)
         # The request is queued until the bus grants it.
-        request = engine._ftq[0].pieces[0].request
+        request = engine._ftq[0].request
         assert request is not None
         assert request.state is RequestState.QUEUED
         group.step(0)

@@ -197,6 +197,38 @@ class TestCheckpointResume:
         }
         assert damaged.read_bytes() == original
 
+    def test_damaged_replacement_order_is_a_miss_and_heals(self, tmp_path):
+        """An entry whose L2 recency orders were damaged into
+        non-permutations of the same length decodes to a miss, not to a
+        run that crashes (or evicts impossible ways) mid-interval."""
+        store = CheckpointStore(tmp_path / "checkpoints")
+        policy = Checkpointing(store=store, seed=0, scale=0.2)
+        config = get_model("acmp").shared_config()
+        traces = synthesize_benchmark(
+            "UA", thread_count=config.core_count, scale=0.2
+        )
+        clean = simulate_sampled(config, traces, TINY_PLAN, checkpoints=policy)
+        entries = sorted(store.root.glob("*/*/*/*/*/detail*.json"))
+        assert len(entries) >= 2
+        damaged = entries[len(entries) // 2]
+        original = damaged.read_bytes()
+        payload = json.loads(original)
+        for group in payload["state"]["groups"]:
+            rows = group["l2"]["policy"]["data"]
+            assert rows, "the L2 holds touched sets"
+            for row in rows:
+                order = row[1]
+                row[1] = [order[0]] * len(order)
+        damaged.write_text(json.dumps(payload) + "\n")
+        rerun = simulate_sampled(config, traces, TINY_PLAN, checkpoints=policy)
+        rerun_payload, counters = _strip_counters(rerun)
+        clean_payload, _ = _strip_counters(clean)
+        assert rerun_payload == clean_payload
+        assert counters == {
+            "hits": len(entries) - 1, "misses": 1, "writes": 1,
+        }
+        assert damaged.read_bytes() == original
+
     def test_resume_concurrent_writers_never_tear_entries(self, tmp_path):
         """Two stores sharing one tree (shard hosts warming the same
         prefix) interleave puts of the same key: every read parses,

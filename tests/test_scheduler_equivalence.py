@@ -11,9 +11,19 @@ sample of further combinations, on **both registered machine models**
 (the ACMP and the symmetric CMP): every machine model must hold the
 bit-identical contract, which is also what the ``engine-crosscheck``
 CI matrix enforces end to end.
+
+Both engines share the front-end and back-end, so a change to those
+passes the equivalence check unseen; each row's scheduled result is
+therefore also pinned by digest in ``tests/data/scheduler_golden.json``
+(re-pin by running this module as a script, only for an intended
+change of results).
 """
 
+import functools
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +88,19 @@ GRID: list[tuple[str, AcmpConfig]] = [
         ),
     ),
     ("all-shared", all_shared_config(icache_kb=32, bus_count=1)),
+    # A deep FTQ behind two line buffers keeps the issue window full:
+    # every way a scan stops happens here (a window of handled pieces,
+    # a second miss in one cycle, an iTLB walk, no free line buffer).
+    (
+        "shared-issue-window",
+        AcmpConfig(
+            worker_count=4,
+            cores_per_cache=4,
+            ftq_capacity=16,
+            line_buffers=2,
+            itlb_enabled=True,
+        ),
+    ),
     # -- symmetric CMP: the same sleep/wake paths with no master core --
     ("scmp-private", private_config(core_count=4)),
     (
@@ -173,17 +196,64 @@ def _random_configs(count: int = 4) -> list[tuple[str, AcmpConfig]]:
     return configs
 
 
+GOLDEN_PATH = Path(__file__).parent / "data" / "scheduler_golden.json"
+
+
+ROWS = GRID + _random_configs()
+_CONFIGS = dict(ROWS)
+
+
+def _traces(label: str, bench: str) -> TraceSet:
+    return synthesize_benchmark(
+        bench, thread_count=_CONFIGS[label].core_count, scale=0.03, seed=3
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _scheduled_payload(label: str, bench: str) -> dict:
+    """One row's scheduled result, shared by the two tests below."""
+    return result_to_dict(
+        simulate(_CONFIGS[label], _traces(label, bench), cycle_skip=True)
+    )
+
+
+def _digest(payload: dict) -> str:
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize(
-    ("label", "config"), GRID + _random_configs(), ids=lambda v: v if isinstance(v, str) else ""
+    ("label", "config"), ROWS, ids=lambda v: v if isinstance(v, str) else ""
 )
 @pytest.mark.parametrize("bench", ("CG", "UA"))
 def test_bit_identical_results(label, config, bench):
-    traces = synthesize_benchmark(
-        bench, thread_count=config.core_count, scale=0.03, seed=3
-    )
-    scheduled = simulate(config, traces, cycle_skip=True)
-    stepped = simulate(config, traces, cycle_skip=False)
-    assert result_to_dict(scheduled) == result_to_dict(stepped)
+    stepped = simulate(config, _traces(label, bench), cycle_skip=False)
+    assert _scheduled_payload(label, bench) == result_to_dict(stepped)
+
+
+@pytest.mark.parametrize(
+    ("label", "config"), ROWS, ids=lambda v: v if isinstance(v, str) else ""
+)
+@pytest.mark.parametrize("bench", ("CG", "UA"))
+def test_results_match_pinned_digest(label, config, bench):
+    pinned = json.loads(GOLDEN_PATH.read_text())
+    assert _digest(_scheduled_payload(label, bench)) == pinned[f"{label}/{bench}"]
+
+
+def test_pinned_digests_cover_every_row():
+    pinned = json.loads(GOLDEN_PATH.read_text())
+    expected = {f"{label}/{bench}" for label, _ in ROWS for bench in ("CG", "UA")}
+    assert set(pinned) == expected
+
+
+def write_golden() -> None:
+    """Re-pin every row's digest (``python tests/test_scheduler_equivalence.py``)."""
+    pinned = {
+        f"{label}/{bench}": _digest(_scheduled_payload(label, bench))
+        for label, _ in ROWS
+        for bench in ("CG", "UA")
+    }
+    GOLDEN_PATH.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
 
 
 def _deadlock_traces() -> TraceSet:
@@ -256,3 +326,7 @@ def test_deadlock_at_identical_cycle(label, config):
     # Identical diagnosis, including the firing cycle embedded in it.
     assert str(scheduled.value) == str(stepped.value)
     assert "phase 7" in str(scheduled.value)
+
+
+if __name__ == "__main__":
+    write_golden()
