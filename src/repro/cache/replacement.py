@@ -16,6 +16,10 @@ from repro.utils import require_positive
 class ReplacementPolicy(abc.ABC):
     """Per-cache replacement state. One instance serves all sets."""
 
+    #: The policy's :func:`make_policy` name; warm-state snapshots carry
+    #: it so replacement state never restores under another policy.
+    name = ""
+
     def __init__(self, set_count: int, ways: int) -> None:
         require_positive(set_count, "set_count")
         require_positive(ways, "ways")
@@ -65,6 +69,8 @@ class LruPolicy(ReplacementPolicy):
     discard to a warm-state restore.
     """
 
+    name = "lru"
+
     def __init__(self, set_count: int, ways: int) -> None:
         super().__init__(set_count, ways)
         # Recency order per set: index 0 is least recently used; None
@@ -101,6 +107,8 @@ class LruPolicy(ReplacementPolicy):
 class FifoPolicy(ReplacementPolicy):
     """First-in first-out: evicts the oldest fill, ignores hits."""
 
+    name = "fifo"
+
     def __init__(self, set_count: int, ways: int) -> None:
         super().__init__(set_count, ways)
         self._next_victim = [0] * set_count
@@ -127,6 +135,8 @@ class FifoPolicy(ReplacementPolicy):
 class RandomPolicy(ReplacementPolicy):
     """Uniform random victim selection (seeded for reproducibility)."""
 
+    name = "random"
+
     def __init__(self, set_count: int, ways: int, seed: int = 0) -> None:
         super().__init__(set_count, ways)
         self._rng = Random(seed)
@@ -147,6 +157,8 @@ class TreePlruPolicy(ReplacementPolicy):
     Requires a power-of-two way count; maintains ``ways - 1`` tree bits per
     set where each bit points towards the pseudo-least-recently-used half.
     """
+
+    name = "plru"
 
     def __init__(self, set_count: int, ways: int) -> None:
         super().__init__(set_count, ways)
@@ -206,10 +218,8 @@ class TreePlruPolicy(ReplacementPolicy):
 
 
 _POLICIES = {
-    "lru": LruPolicy,
-    "fifo": FifoPolicy,
-    "random": RandomPolicy,
-    "plru": TreePlruPolicy,
+    policy.name: policy
+    for policy in (LruPolicy, FifoPolicy, RandomPolicy, TreePlruPolicy)
 }
 
 

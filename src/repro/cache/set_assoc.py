@@ -162,31 +162,42 @@ class SetAssociativeCache:
     # -- warm-state checkpoints --------------------------------------------
 
     def warm_state(self) -> dict:
-        """Tag array, replacement state and the compulsory-miss
-        classifier (lines ever resident), passed by reference.
+        """Tag array, replacement state (named by its policy) and the
+        compulsory-miss classifier (lines ever resident), passed by
+        reference.
 
         The seen-lines set rides along because it is warm state, not a
         counter: a restored cache that forgot which lines it ever held
         would misclassify every capacity/conflict miss of a
         measurement interval as compulsory (the Fig. 11 split). The
         snapshot and the cache share storage after a
-        :meth:`load_warm_state`; serialize through
-        :meth:`repro.machine.warm.WarmState.to_dict`, which deep-copies.
+        :meth:`load_warm_state`. An in-process hand-off that must not
+        couple two caches goes through
+        :meth:`repro.machine.warm.WarmState.copy` (C-level list and set
+        copies); :meth:`~repro.machine.warm.WarmState.to_dict`, which
+        deep-copies into JSON primitives, stays the form tests compare.
         """
         return {
             "tags": self._tags,
+            "replacement": self._policy.name,
             "policy": self._policy.warm_state(),
             "seen": self.stats._seen_lines,
         }
 
     def load_warm_state(self, state) -> None:
-        """Adopt a snapshot captured from an identically-shaped cache."""
+        """Adopt a snapshot captured from an identically-shaped cache
+        under the same replacement policy."""
         tags = state["tags"]
         if len(tags) != self.set_count or any(
             len(ways) != self.ways for ways in tags
         ):
             raise ValueError(
                 f"cache snapshot shape does not match {self!r}"
+            )
+        if state["replacement"] != self._policy.name:
+            raise ValueError(
+                f"cache snapshot holds {state['replacement']!r} "
+                f"replacement state, {self!r} uses {self._policy.name!r}"
             )
         self._tags = tags
         self._policy.load_warm_state(state["policy"])

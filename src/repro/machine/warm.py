@@ -16,15 +16,21 @@ system of the *same* design point, so both the ACMP and the symmetric
 CMP get sampled simulation without model-specific code.
 
 Sharing semantics: for the large tables (cache tags, replacement order,
-gshare counters, BTB) capture and restore pass storage **by reference**
-— a restored system and the snapshot's source share those lists. This
-is deliberate: the sampled simulator alternates one warming machine
-with a sequence of short-lived measurement machines, and copying a
-megabyte-scale L2 tag array per interval would erase the sampling
-speedup. Callers that need an independent, durable snapshot serialize
-through :meth:`WarmState.to_dict`, which deep-copies into JSON
-primitives; :meth:`WarmState.from_dict` rebuilds a snapshot whose
-storage is fresh.
+gshare counters, loop predictor, BTB, seen sets) capture and restore
+pass storage **by reference** — a restored system and the snapshot's
+source share those lists. Capture is therefore free, and a snapshot
+that is restored into exactly one system needs no copy at all (a
+decoded checkpoint). Three ways out of the sharing, one per use:
+
+* :meth:`WarmState.copy` serves in-process hand-offs: C-level list,
+  ``bytearray`` and set copies of every table, no serialization. The
+  sampled simulator hands each measurement machine a copy while its
+  warming machine keeps (and walks on with) its own tables.
+* :meth:`WarmState.to_dict` deep-copies into JSON primitives. It is
+  the form tests compare; :meth:`WarmState.from_dict` rebuilds a
+  snapshot whose storage is fresh.
+* :func:`repro.sampling.checkpoints.encode_state` packs a snapshot for
+  the on-disk checkpoint store without copying it first.
 
 The gshare counter table is a ``bytearray`` (one byte per 2-bit
 counter), shared by reference like the other tables; the warmer's
@@ -112,6 +118,61 @@ class WarmState:
             )
         )
 
+    def copy(self) -> WarmState:
+        """A snapshot with the same content and storage of its own.
+
+        The in-process hand-off: every table is copied with one C-level
+        call per list (a row at a time for the per-set tables), the
+        gshare ``bytearray`` and the seen sets are copied whole, and
+        scalars are shared. Restoring the copy never couples the
+        restored system to this snapshot's source, and
+        ``copy().to_dict() == to_dict()``.
+        """
+        return WarmState(
+            machine=self.machine,
+            config_label=self.config_label,
+            cores=[
+                {
+                    "line_buffers": {
+                        "clock": core["line_buffers"]["clock"],
+                        "entries": list(
+                            map(list.copy, core["line_buffers"]["entries"])
+                        ),
+                    },
+                    "predictor": core["predictor"],
+                    "itlb": core["itlb"],
+                }
+                for core in self.cores
+            ],
+            predictors=[
+                {
+                    "direction": {
+                        "counters": bytearray(
+                            predictor["direction"]["counters"]
+                        ),
+                        "history": predictor["direction"]["history"],
+                    },
+                    "loop": _copy_columns(predictor["loop"]),
+                    "btb": _copy_columns(predictor["btb"]),
+                }
+                for predictor in self.predictors
+            ],
+            itlbs=[
+                {
+                    "clock": itlb["clock"],
+                    "pages": list(map(list.copy, itlb["pages"])),
+                    "seen": set(itlb["seen"]),
+                }
+                for itlb in self.itlbs
+            ],
+            groups=[
+                {"icache": _copy_cache(group["icache"]),
+                 "l2": _copy_cache(group["l2"])}
+                for group in self.groups
+            ],
+            shape=self.shape,
+        )
+
     @classmethod
     def from_dict(cls, data: dict) -> WarmState:
         """Rebuild a snapshot from :meth:`to_dict` output.
@@ -167,3 +228,30 @@ class WarmState:
                 f"{self.config_label!r}, cannot restore into "
                 f"{config_label!r}"
             )
+
+
+# -- copies for in-process hand-offs ----------------------------------------
+
+
+def _copy_columns(state: dict) -> dict:
+    """Equal-length flat tables (loop predictor, BTB)."""
+    return {name: list(column) for name, column in state.items()}
+
+
+def _copy_cache(state: dict) -> dict:
+    """Tag rows, replacement state and the seen-lines set.
+
+    Replacement state is per-set rows (LRU order, ``None`` for an
+    untouched set; PLRU bits), per-set ints (FIFO pointers) or ``None``
+    (a policy without warm state): rows are copied, ints and ``None``
+    shared.
+    """
+    policy = state["policy"]
+    return {
+        "tags": list(map(list.copy, state["tags"])),
+        "replacement": state["replacement"],
+        "policy": None if policy is None else [
+            row.copy() if type(row) is list else row for row in policy
+        ],
+        "seen": set(state["seen"]),
+    }

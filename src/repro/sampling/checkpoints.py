@@ -36,26 +36,49 @@ from the trace instead, and a later ``put`` self-heals the entry.
 Writes use the same mkstemp-then-rename discipline as
 ``ResultStore.put``, so concurrent shard hosts can share one tree.
 
-Payloads hold a *sparse* encoding of :class:`WarmState`
-(:func:`encode_state` / :func:`decode_state`): the dense tables are
-dominated by default values (weakly-taken gshare counters, invalid
-cache ways), and storing only the non-default cells keeps a snapshot
-around a hundred KB instead of megabytes. A fig07 + fig10 sweep under
-the ``fast`` preset writes ~113 KB per entry (6.8 MB for 60 entries);
-the two L2 LRU order lists alone take ~41 KB of a 129 KB entry. A
-payload whose cells fall outside its own tables fails to decode (a
-:class:`~repro.errors.ConfigurationError`), never restores as
-wrapped-around state.
+Payloads hold a *packed* encoding of :class:`WarmState`
+(:func:`encode_state` / :func:`decode_state`), tagged
+``"layout": "packed-1"``. Each dense table is one packed table: its
+elements little-endian under a layout tag (``u8``, ``u16`` or
+``i64``), zlib-compressed and base64-encoded, with its element count
+beside it, so ``json.dumps``/``json.loads`` handle a few strings per
+structure instead of ~10^4 small lists:
+
+* gshare counters: their raw bytes (``u8``, one per counter);
+* loop predictor and BTB: one ``i64`` table per column;
+* cache tags: a fill count per set (``u8``, ``u16`` past 255 ways)
+  and the valid lines (``i64``) — rows fill from their first way;
+* replacement state, named by its policy (``lru``/``plru``/``fifo``/
+  ``random``): LRU a touched flag per set plus the touched sets'
+  recency orders, PLRU ``ways - 1`` tree bits per set, FIFO one
+  next-victim index per set — way indices one byte each, two past 255
+  ways;
+* seen lines and pages: sorted ``i64`` arrays.
+
+Line buffers and iTLB translations (a handful of pairs) stay JSON
+lists. On the fig07 + fig10 sweep under the ``fast`` preset (UA and CG
+at scale 0.5) a 9-group baseline entry shrinks from 342 KB in the
+sparse-list layout earlier stores wrote to 56 KB, and the whole tree
+from 6.7 MB to 2.0 MB. Decoding checks every table against its
+declaration (layout tag, element count, a declared size the stream's
+length can reach, a zlib stream that is whole and inflates to exactly
+that size — never past it) and every value against what its structure
+can hold; any failure is a
+:class:`~repro.errors.ConfigurationError`, which the sampled simulator
+treats as a miss, never restores as wrong state.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
-import re
+import struct
 import tempfile
 import time
+import zlib
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
 from pathlib import Path
 
 from repro.campaign.store import _UMASK, _format_scale, _sanitize
@@ -72,11 +95,6 @@ __all__ = [
     "trace_fingerprint",
 ]
 
-#: gshare counters initialize to 2 (weakly taken); every other value is
-#: a non-default cell worth storing.
-_NON_DEFAULT_COUNTER = re.compile(rb"[^\x02]")
-
-
 # -- trace fingerprints ----------------------------------------------------
 
 # The digest moved to the trace layer so the on-disk codec can stamp
@@ -85,19 +103,40 @@ _NON_DEFAULT_COUNTER = re.compile(rb"[^\x02]")
 from repro.trace.fingerprint import trace_fingerprint  # noqa: E402, F401
 
 
-# -- sparse warm-state codec -----------------------------------------------
+# -- packed warm-state codec -----------------------------------------------
+
+#: Layout tag of an encoded state. A state without it (the sparse lists
+#: earlier stores wrote) or with another tag fails to decode, so a stale
+#: entry is a miss that the next put rewrites.
+STATE_LAYOUT = "packed-1"
+
+#: Element layouts of a packed table: the little-endian ``struct`` code
+#: of one element.
+_FORMATS = {"u8": "B", "u16": "H", "i64": "q"}
+
+#: zlib level of every packed table: the fastest to compress and to
+#: inflate. The tables are long runs (weakly-taken counters, invalid BTB
+#: and loop entries), which level 1 already shrinks ~25x (a 9-group
+#: baseline entry's 1.0 MB of tables to 37 KB of base64 text).
+_ZLIB_LEVEL = 1
+
+#: Deflate codes at most 258 bytes in two bits, so no zlib stream
+#: inflates past 1032 times its length: a table declaring more is
+#: damaged, whatever its stream holds.
+_MAX_INFLATION = 1032
+
+#: Way indices pack in at most two bytes, so no encodable cache has
+#: more ways.
+_MAX_WAYS = 0xFFFF
+
+#: The byte values a gshare counter and a tree-PLRU bit or touched-set
+#: flag may hold; ``translate(None, values)`` leaves what is left over.
+_COUNTER_VALUES = bytes(range(4))
+_BIT_VALUES = bytes(range(2))
 
 
-def _encode_gshare(state: dict) -> dict:
-    counters = state["counters"]  # a bytearray: the regex scans it as is
-    return {
-        "entries": len(counters),
-        "history": state["history"],
-        "counters": [
-            [match.start(), counters[match.start()]]
-            for match in _NON_DEFAULT_COUNTER.finditer(counters)
-        ],
-    }
+def _damaged(what: str, detail: str) -> ConfigurationError:
+    return ConfigurationError(f"checkpoint {what}: {detail}")
 
 
 def _out_of_range(what: str, value, size: int) -> ConfigurationError:
@@ -106,177 +145,291 @@ def _out_of_range(what: str, value, size: int) -> ConfigurationError:
     )
 
 
-def _decode_gshare(payload: dict) -> dict:
-    entries = int(payload["entries"])
-    history = int(payload["history"])
-    if not 0 <= history < entries:
-        raise _out_of_range("gshare history", history, entries)
-    counters = bytearray(b"\x02") * entries
-    for index, value in payload["counters"]:
-        if not 0 <= index < entries:
-            raise _out_of_range("gshare index", index, entries)
-        if not 0 <= value <= 3:
-            raise _out_of_range("gshare counter", value, 4)
-        counters[index] = value
-    return {"counters": counters, "history": history}
-
-
-def _encode_loop(state: dict) -> dict:
-    tags = state["tags"]
-    trips = state["trips"]
-    currents = state["currents"]
-    confidences = state["confidences"]
-    return {
-        "entries": len(tags),
-        "rows": [
-            [index, tags[index], trips[index], currents[index],
-             confidences[index]]
-            for index in range(len(tags))
-            if tags[index] != -1
-        ],
-    }
-
-
-def _decode_loop(payload: dict) -> dict:
-    entries = int(payload["entries"])
-    tags = [-1] * entries
-    trips = [0] * entries
-    currents = [0] * entries
-    confidences = [0] * entries
-    for index, tag, trip, current, confidence in payload["rows"]:
-        if not 0 <= index < entries:
-            raise _out_of_range("loop-predictor index", index, entries)
-        tags[index] = tag
-        trips[index] = trip
-        currents[index] = current
-        confidences[index] = confidence
-    return {
-        "tags": tags,
-        "trips": trips,
-        "currents": currents,
-        "confidences": confidences,
-    }
-
-
-def _encode_btb(state: dict) -> dict:
-    tags = state["tags"]
-    targets = state["targets"]
-    return {
-        "entries": len(tags),
-        "rows": [
-            [index, tags[index], targets[index]]
-            for index in range(len(tags))
-            if tags[index] != -1
-        ],
-    }
-
-
-def _decode_btb(payload: dict) -> dict:
-    entries = int(payload["entries"])
-    tags = [-1] * entries
-    targets = [0] * entries
-    for index, tag, target in payload["rows"]:
-        if not 0 <= index < entries:
-            raise _out_of_range("BTB index", index, entries)
-        tags[index] = tag
-        targets[index] = target
-    return {"tags": tags, "targets": targets}
-
-
-def _encode_policy(state) -> dict:
-    if state is None:
-        return {"kind": "none"}
-    if all(isinstance(entry, int) for entry in state):
-        # FIFO-style dense int vector.
-        return {"kind": "dense", "data": list(state)}
-    # LRU/PLRU-style per-set lists (None marks an untouched set).
-    return {
-        "kind": "sparse",
-        "sets": len(state),
-        "data": [
-            [index, list(entry)]
-            for index, entry in enumerate(state)
-            if entry is not None
-        ],
-    }
-
-
-#: The values a tree-PLRU bit may hold.
-_PLRU_BITS = frozenset((0, 1))
-
-
 def _damaged_policy(what: str, value, ways: int) -> ConfigurationError:
     return ConfigurationError(
         f"checkpoint replacement {what} {value!r} invalid for {ways} ways"
     )
 
 
-def _decode_policy(payload: dict, ways: int):
-    """Replacement state, checked against the cache's ``ways``.
+def _pack(layout: str, values) -> dict:
+    """One dense table: ``values`` as little-endian ``layout`` elements,
+    zlib-compressed and base64-encoded, under its layout tag and
+    element count."""
+    if layout == "u8":
+        raw = bytes(values)
+    else:
+        values = list(values)
+        raw = struct.pack(f"<{len(values)}{_FORMATS[layout]}", *values)
+    return {
+        "layout": layout,
+        "count": len(raw) // struct.calcsize(_FORMATS[layout]),
+        "data": base64.b64encode(
+            zlib.compress(raw, _ZLIB_LEVEL)
+        ).decode("ascii"),
+    }
 
-    A damaged order would otherwise surface mid-run (an LRU row that is
-    not a permutation fails its first ``remove``) or silently pick
-    impossible victims, so every row is checked here, with one C-level
-    comparison each: a dense FIFO pointer must lie in ``[0, ways)``; a
-    sparse row holds ``ways`` entries for LRU (a permutation of
-    ``range(ways)``) or ``ways - 1`` for PLRU (bits 0/1).
+
+def _unpack(table: dict, layout: str, count: int | None, what: str):
+    """The elements of a packed table, checked against its declaration:
+    ``bytes`` for a ``u8`` table, a fresh list of ints otherwise.
+
+    ``count`` is the element count the enclosing structure implies
+    (``None`` for a table that sizes itself, like a seen set). A
+    declared size no stream of the given length can reach is rejected
+    before inflating, and the stream is inflated to at most its
+    declared size plus one byte, so a stream that would inflate past it
+    is rejected without inflating the rest.
     """
-    kind = payload["kind"]
-    if kind == "none":
+    tag = table["layout"]
+    if tag not in _FORMATS:
+        raise _damaged(what, f"unknown layout tag {tag!r}")
+    if tag != layout:
+        raise _damaged(what, f"layout {tag!r}, expected {layout!r}")
+    declared = table["count"]
+    if type(declared) is not int or declared < 0 or (
+        count is not None and declared != count
+    ):
+        raise _damaged(what, f"declares {declared!r} elements, not {count}")
+    width = struct.calcsize(_FORMATS[tag])
+    size = declared * width
+    try:
+        packed = base64.b64decode(table["data"], validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise _damaged(what, f"text is not base64 ({exc})") from exc
+    if size > _MAX_INFLATION * len(packed):
+        raise _damaged(
+            what, f"declares {size} bytes, more than {len(packed)} "
+            "bytes of zlib stream can inflate to",
+        )
+    inflater = zlib.decompressobj()
+    try:
+        raw = inflater.decompress(packed, size + 1)
+    except zlib.error as exc:
+        raise _damaged(what, f"corrupt zlib stream ({exc})") from exc
+    if len(raw) > size:
+        raise _damaged(what, f"inflates past its declared {size} bytes")
+    if not inflater.eof:
+        raise _damaged(what, "truncated zlib stream")
+    if inflater.unused_data:
+        raise _damaged(what, "bytes after the zlib stream")
+    if len(raw) != size:
+        raise _damaged(what, f"inflates to {len(raw)} of {size} bytes")
+    if tag == "u8":
+        return raw
+    return list(struct.unpack(f"<{declared}{_FORMATS[tag]}", raw))
+
+
+def _dimension(payload: dict, name: str, what: str) -> int:
+    value = payload[name]
+    if type(value) is not int or value < 1:
+        raise _damaged(what, f"{name} {value!r} is not a positive count")
+    return value
+
+
+def _way_layout(ways: int) -> str:
+    """One byte per way index, two past 255 ways."""
+    return "u8" if ways <= 255 else "u16"
+
+
+def _encode_gshare(state: dict) -> dict:
+    counters = state["counters"]  # a bytearray: packed as is
+    return {
+        "entries": len(counters),
+        "history": state["history"],
+        "counters": _pack("u8", counters),
+    }
+
+
+def _decode_gshare(payload: dict) -> dict:
+    entries = _dimension(payload, "entries", "gshare")
+    counters = _unpack(payload["counters"], "u8", entries, "gshare counters")
+    stray = counters.translate(None, _COUNTER_VALUES)
+    if stray:
+        raise _out_of_range("gshare counter", stray[0], 4)
+    history = int(payload["history"])
+    if not 0 <= history < entries:
+        raise _out_of_range("gshare history", history, entries)
+    return {"counters": bytearray(counters), "history": history}
+
+
+#: The flat, equal-length tables of the loop predictor and the BTB.
+_LOOP_COLUMNS = ("tags", "trips", "currents", "confidences")
+_BTB_COLUMNS = ("tags", "targets")
+
+
+def _encode_columns(state: dict, columns: tuple[str, ...]) -> dict:
+    encoded = {"entries": len(state[columns[0]])}
+    for name in columns:
+        encoded[name] = _pack("i64", state[name])
+    return encoded
+
+
+def _decode_columns(payload: dict, columns: tuple[str, ...], what: str):
+    entries = _dimension(payload, "entries", what)
+    return {
+        name: _unpack(payload[name], "i64", entries, f"{what} {name}")
+        for name in columns
+    }
+
+
+def _decode_loop(payload: dict) -> dict:
+    return _decode_columns(payload, _LOOP_COLUMNS, "loop predictor")
+
+
+def _decode_btb(payload: dict) -> dict:
+    return _decode_columns(payload, _BTB_COLUMNS, "BTB")
+
+
+def _encode_policy(name: str, state, ways: int) -> dict:
+    """Replacement state under its policy's name.
+
+    LRU: a touched flag per set (an untouched set holds no order list)
+    and the touched sets' recency orders, ``ways`` indices each; PLRU:
+    ``ways - 1`` tree bits per set; FIFO: one next-victim index per
+    set; any other policy (random) holds no warm state.
+    """
+    if name == "lru":
+        return {
+            "policy": name,
+            "touched": _pack("u8", [row is not None for row in state]),
+            "rows": _pack(
+                _way_layout(ways),
+                list(chain.from_iterable(filter(None, state))),
+            ),
+        }
+    if name == "plru":
+        return {"policy": name, "rows": _pack("u8", chain.from_iterable(state))}
+    if name == "fifo":
+        return {"policy": name, "pointers": _pack(_way_layout(ways), state)}
+    return {"policy": name}
+
+
+def _decode_policy(payload: dict, sets: int, ways: int):
+    """Replacement state, checked against the policy the record names.
+
+    An LRU row must be a permutation of ``range(ways)`` (one C-level
+    comparison per touched set), a PLRU row ``ways - 1`` bits of 0/1
+    and a FIFO pointer below ``ways``; a damaged order would otherwise
+    surface mid-run (an LRU row that is not a permutation fails its
+    first ``remove``) or silently pick impossible victims.
+    """
+    name = payload["policy"]
+    if name == "lru":
+        touched = _unpack(
+            payload["touched"], "u8", sets, "replacement touched sets"
+        )
+        stray = touched.translate(None, _BIT_VALUES)
+        if stray:
+            raise _damaged_policy("touched flag", stray[0], ways)
+        layout = _way_layout(ways)
+        flat = _unpack(
+            payload["rows"], layout, touched.count(1) * ways,
+            "replacement LRU rows",
+        )
+        # A row of ``ways`` indices is a permutation of range(ways)
+        # when deleting its values from range(ways) leaves nothing: one
+        # C-level translate per touched set (a set compare past 255).
+        identity = bytes(range(ways)) if layout == "u8" else set(range(ways))
+        order: list[list[int] | None] = [None] * sets
+        start = 0
+        for index in compress(range(sets), touched):
+            row = flat[start:start + ways]
+            if (
+                identity.translate(None, row) if layout == "u8"
+                else identity.difference(row)
+            ):
+                raise _damaged_policy("LRU order", list(row), ways)
+            order[index] = list(row)
+            start += ways
+        return order
+    if name == "plru":
+        width = ways - 1
+        bits = _unpack(
+            payload["rows"], "u8", sets * width, "replacement PLRU rows"
+        )
+        stray = bits.translate(None, _BIT_VALUES)
+        if stray:
+            raise _damaged_policy("PLRU bit", stray[0], ways)
+        return [
+            list(bits[index * width:(index + 1) * width])
+            for index in range(sets)
+        ]
+    if name == "fifo":
+        pointers = _unpack(
+            payload["pointers"], _way_layout(ways), sets,
+            "replacement FIFO pointers",
+        )
+        if max(pointers) >= ways:
+            raise _damaged_policy("FIFO pointer", max(pointers), ways)
+        return list(pointers)
+    if name == "random":
         return None
-    if kind == "dense":
-        pointers = list(payload["data"])
-        if pointers and not (min(pointers) >= 0 and max(pointers) < ways):
-            raise _damaged_policy("FIFO pointers", pointers, ways)
-        return pointers
-    sets = int(payload["sets"])
-    every_way = set(range(ways))
-    order: list[list[int] | None] = [None] * sets
-    for index, entry in payload["data"]:
-        if not 0 <= index < sets:
-            raise _out_of_range("replacement-order set", index, sets)
-        row = list(entry)
-        if len(row) == ways:
-            if set(row) != every_way:
-                raise _damaged_policy("LRU order", row, ways)
-        elif len(row) != ways - 1:
-            raise _damaged_policy("row", row, ways)
-        elif not _PLRU_BITS.issuperset(row):
-            raise _damaged_policy("PLRU bits", row, ways)
-        order[index] = row
-    return order
+    raise _damaged("replacement", f"unknown policy {name!r}")
+
+
+def _encode_lines(tags: list[list[int | None]], ways: int) -> dict:
+    """The tag array as a fill count per set plus the valid lines.
+
+    A cache fills its first invalid way and invalidates ways only all
+    at once (:meth:`SetAssociativeCache.invalidate_all`), so every row
+    is its valid lines followed by ``None``: the ``count`` leading
+    ways hold the lines, in set order.
+    """
+    counts = [ways - row.count(None) for row in tags]
+    lines = list(
+        chain.from_iterable(
+            row[:count] for row, count in zip(tags, counts)
+        )
+    )
+    if None in lines:
+        raise ValueError("cache tag row holds an invalid way before a line")
+    return {
+        "filled": _pack(_way_layout(ways), counts),
+        "lines": _pack("i64", lines),
+    }
+
+
+def _decode_lines(payload: dict, sets: int, ways: int) -> list:
+    counts = _unpack(
+        payload["filled"], _way_layout(ways), sets, "cache fill counts"
+    )
+    if max(counts) > ways:
+        raise _damaged("cache fill counts", f"{max(counts)} of {ways} ways")
+    lines = _unpack(payload["lines"], "i64", sum(counts), "cache lines")
+    tags = list(map(list.copy, repeat([None] * ways, sets)))
+    start = 0
+    for index in compress(range(sets), counts):
+        count = counts[index]
+        tags[index][:count] = lines[start:start + count]
+        start += count
+    return tags
 
 
 def _encode_cache(state: dict) -> dict:
     tags = state["tags"]
+    ways = len(tags[0])
     return {
         "sets": len(tags),
-        "ways": len(tags[0]) if tags else 0,
-        "lines": [
-            [set_index, way, line]
-            for set_index, row in enumerate(tags)
-            for way, line in enumerate(row)
-            if line is not None
-        ],
-        "policy": _encode_policy(state["policy"]),
-        "seen": sorted(state["seen"]),
+        "ways": ways,
+        **_encode_lines(tags, ways),
+        "replacement": _encode_policy(
+            state["replacement"], state["policy"], ways
+        ),
+        "seen": _pack("i64", sorted(state["seen"])),
     }
 
 
 def _decode_cache(payload: dict) -> dict:
-    sets = int(payload["sets"])
-    ways = int(payload["ways"])
-    tags: list[list[int | None]] = [[None] * ways for _ in range(sets)]
-    for set_index, way, line in payload["lines"]:
-        if not 0 <= set_index < sets:
-            raise _out_of_range("cache set", set_index, sets)
-        if not 0 <= way < ways:
-            raise _out_of_range("cache way", way, ways)
-        tags[set_index][way] = line
+    sets = _dimension(payload, "sets", "cache")
+    ways = _dimension(payload, "ways", "cache")
+    if ways > _MAX_WAYS:
+        raise _damaged("cache", f"{ways} ways, past a two-byte way index")
+    replacement = payload["replacement"]
     return {
-        "tags": tags,
-        "policy": _decode_policy(payload["policy"], ways),
-        "seen": set(payload["seen"]),
+        "tags": _decode_lines(payload, sets, ways),
+        "replacement": replacement["policy"],
+        "policy": _decode_policy(replacement, sets, ways),
+        "seen": set(_unpack(payload["seen"], "i64", None, "seen lines")),
     }
 
 
@@ -291,7 +444,7 @@ def _encode_itlb(state: dict) -> dict:
     return {
         "clock": state["clock"],
         "pages": [list(page) for page in state["pages"]],
-        "seen": sorted(state["seen"]),
+        "seen": _pack("i64", sorted(state["seen"])),
     }
 
 
@@ -299,18 +452,20 @@ def _decode_itlb(payload: dict) -> dict:
     return {
         "clock": int(payload["clock"]),
         "pages": [list(page) for page in payload["pages"]],
-        "seen": set(payload["seen"]),
+        "seen": set(_unpack(payload["seen"], "i64", None, "seen pages")),
     }
 
 
 def encode_state(state: WarmState) -> dict:
-    """Sparse, JSON-ready encoding of a :class:`WarmState`.
+    """Packed, JSON-ready encoding of a :class:`WarmState`.
 
     A pure read: the snapshot (and any system sharing its storage) is
-    untouched, so the sampled simulator encodes mid-run without copying
-    the dense tables first.
+    untouched, so the sampled simulator encodes a live warming machine
+    without copying its tables first. Deterministic: equal states encode
+    to equal payloads, so a rewritten entry is byte-identical.
     """
     return {
+        "layout": STATE_LAYOUT,
         "machine": state.machine,
         "config_label": state.config_label,
         "shape": state.shape,
@@ -325,8 +480,8 @@ def encode_state(state: WarmState) -> dict:
         "predictors": [
             {
                 "direction": _encode_gshare(predictor["direction"]),
-                "loop": _encode_loop(predictor["loop"]),
-                "btb": _encode_btb(predictor["btb"]),
+                "loop": _encode_columns(predictor["loop"], _LOOP_COLUMNS),
+                "btb": _encode_columns(predictor["btb"], _BTB_COLUMNS),
             }
             for predictor in state.predictors
         ],
@@ -346,17 +501,23 @@ def decode_state(payload: dict) -> WarmState:
 
     The inverse of :func:`encode_state`; every decode owns independent
     tables, so restoring the result never couples two systems. Raises
-    :class:`~repro.errors.ConfigurationError` on a damaged payload:
-    missing fields, wrong types, a cell outside its table (an index
-    outside ``[0, entries)``/``[0, sets)``/``[0, ways)``, a gshare
-    counter outside 0..3 or history outside ``[0, entries)``), or
-    replacement state no policy could hold (see :func:`_decode_policy`).
+    :class:`~repro.errors.ConfigurationError` on a damaged payload: a
+    layout other than :data:`STATE_LAYOUT`, missing fields or wrong
+    types or numbers past what the structures can hold (an infinite
+    history, a cache past 65535 ways), a packed table that is not
+    base64, not one whole zlib stream or not the size its structure
+    implies (see :func:`_unpack`), a gshare counter outside 0..3 or
+    history outside ``[0, entries)``, or replacement state its named
+    policy could not hold (see :func:`_decode_policy`).
     """
     try:
+        layout = payload["layout"]
+        if layout != STATE_LAYOUT:
+            raise _damaged("state", f"unknown layout {layout!r}")
         return WarmState(
             machine=payload["machine"],
             config_label=payload["config_label"],
-            shape=payload.get("shape", ""),
+            shape=payload["shape"],
             cores=[
                 {
                     "line_buffers": _encode_line_buffers(
@@ -384,7 +545,8 @@ def decode_state(payload: dict) -> WarmState:
                 for group in payload["groups"]
             ],
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError,
+            OverflowError) as exc:
         raise ConfigurationError(
             f"malformed checkpoint payload: {exc}"
         ) from exc
@@ -602,14 +764,17 @@ class CheckpointStore:
 
         A checkpoint is collectable when its payload is not valid JSON,
         its identity header no longer parses (unknown machine model,
-        unparseable plan spec), or its trace fingerprint is stale — the
-        synthesizer for its ``(benchmark, threads, seed, scale)`` now
-        produces different records, so the stored state describes a
-        trace that no longer exists. Fingerprints are re-derived once
-        per distinct trace identity; identities whose synthesis fails
-        (retired benchmark names) are collected too. Returns the victim
-        paths; ``dry_run`` only reports them. Empty key directories
-        left behind are pruned as well.
+        unparseable plan spec), its state is in a layout other than
+        :data:`STATE_LAYOUT` (the sparse lists earlier stores wrote:
+        never served, and rewritten only if its sweep reruns), or its
+        trace fingerprint is stale — the synthesizer for its
+        ``(benchmark, threads, seed, scale)`` now produces different
+        records, so the stored state describes a trace that no longer
+        exists. Fingerprints are re-derived once per distinct trace
+        identity; identities whose synthesis fails (retired benchmark
+        names) are collected too. Returns the victim paths; ``dry_run``
+        only reports them. Empty key directories left behind are pruned
+        as well.
         """
         from repro.machine.model import model_names
         from repro.sampling.plan import resolve_plan
@@ -645,11 +810,12 @@ class CheckpointStore:
                 threads = int(header["threads"])
                 fingerprint = str(header["fingerprint"])
                 plan = str(header["plan"])
+                layout = payload["state"]["layout"]
             except (OSError, json.JSONDecodeError, KeyError, TypeError,
                     ValueError):
                 victims.append(path)
                 continue
-            parseable = machine in known_machines
+            parseable = machine in known_machines and layout == STATE_LAYOUT
             if parseable:
                 try:
                     resolve_plan(plan)

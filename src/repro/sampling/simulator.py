@@ -428,11 +428,11 @@ class SampledSimulator:
         # Pure functional warming: `warming` tracks the warm state at
         # the entry of interval `walk_cursor`, except when
         # `pending_restore` holds the encoded state that must be
-        # restored first (after a measurement run mutated the shared
-        # storage, or after a checkpoint hit advanced the cursor without
-        # walking). The machine — and its batched walker — are built
-        # lazily: a run served entirely from checkpoints never pays for
-        # either.
+        # restored first (after a checkpoint hit advanced the cursor
+        # without walking). Measurement machines get copies, so a miss
+        # leaves the warming machine's tables as they were. The machine
+        # — and its batched walker — are built lazily: a run served
+        # entirely from checkpoints never pays for either.
         warming: System | None = None
         warmer: BatchedWarmer | None = None
         pending_restore: dict | None = None
@@ -471,6 +471,17 @@ class SampledSimulator:
                     args={"intervals": target - walked_from},
                 )
 
+        def materialise(interval: Interval, entry_state) -> System:
+            """The interval's hollow measurement system, seeded with
+            ``entry_state`` (which it adopts by reference)."""
+            system = self.model.build_system(
+                self.config,
+                interval_traceset(self.traces, interval),
+                hollow=True,
+            )
+            system.restore_warm_state(entry_state)
+            return system
+
         exhaustive: list[SimulationResult] = []
         sampled: list[tuple[Interval, SimulationResult]] = []
         detail_ordinal = 0
@@ -485,41 +496,40 @@ class SampledSimulator:
                 payload = store.get(key, ordinal)
                 if timer is not None:
                     timer.add("store_io", time.perf_counter() - io_started)
+            system = None
             if payload is not None:
                 try:
                     entry_state = decode_state(payload)
+                    measure_started = time.perf_counter()
+                    span_from = tracer.wall_ts() if tracer is not None else 0.0
+                    system = materialise(interval, entry_state)
                 except ConfigurationError:
-                    # A damaged entry is a miss, like corrupt JSON in
-                    # the store: re-warm and let the put below heal it.
-                    payload = None
+                    # A damaged or foreign entry is a miss, like corrupt
+                    # JSON in the store: re-warm and let the put below
+                    # heal it.
+                    system = None
                 else:
                     hits += 1
-            if payload is None:
+                    pending_restore = payload
+                    walk_cursor = position
+            if system is None:
                 misses += 1
                 ensure_warming_through(position)
-                # Hand the warm state to the measurement system by
-                # reference (copying the dense tables per interval
-                # would erase the sampling speedup); the encoded
-                # snapshot repairs the warming machine afterwards.
-                entry_state = warming.capture_warm_state()
-                payload = encode_state(entry_state)
+                live = warming.capture_warm_state()
                 if store is not None:
+                    encoded = encode_state(live)
                     io_started = time.perf_counter()
-                    store.put(key, ordinal, payload, self.config.label())
+                    store.put(key, ordinal, encoded, self.config.label())
                     writes += 1
                     if timer is not None:
                         timer.add(
                             "store_io", time.perf_counter() - io_started
                         )
-            pending_restore = payload
-            walk_cursor = position
-            measure_started = time.perf_counter()
-            span_from = tracer.wall_ts() if tracer is not None else 0.0
-            subset = interval_traceset(self.traces, interval)
-            system = self.model.build_system(
-                self.config, subset, hollow=True
-            )
-            system.restore_warm_state(entry_state)
+                measure_started = time.perf_counter()
+                span_from = tracer.wall_ts() if tracer is not None else 0.0
+                # The measurement machine adopts a copy; the warming
+                # machine keeps its own tables and walks on from here.
+                system = materialise(interval, live.copy())
             if tracer is not None:
                 tracer.wall_span(
                     "materialise",

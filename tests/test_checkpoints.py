@@ -13,12 +13,17 @@ Three contracts:
   unions trees newest-wins.
 """
 
+import base64
+import json
 import os
+import random
 import time
+import zlib
 from dataclasses import replace
 
 import pytest
 
+from repro.cache.set_assoc import SetAssociativeCache
 from repro.campaign.store import ResultStore, merge_stores
 from repro.errors import ConfigurationError
 from repro.machine.model import get_model
@@ -31,10 +36,16 @@ from repro.sampling import (
     trace_fingerprint,
 )
 from repro.sampling.checkpoints import (
+    STATE_LAYOUT,
+    _BTB_COLUMNS,
+    _LOOP_COLUMNS,
     _decode_btb,
     _decode_cache,
     _decode_gshare,
     _decode_loop,
+    _encode_cache,
+    _pack,
+    _unpack,
     decode_state,
     encode_state,
 )
@@ -251,7 +262,11 @@ class TestCheckpointStore:
             fingerprint=trace_fingerprint(traces),
         )
         store = CheckpointStore(tmp_path)
-        live = store.put(live_key, 0, {"cores": []})
+        live = store.put(live_key, 0, {"layout": STATE_LAYOUT})
+        # An entry in the sparse-list layout earlier stores wrote (no
+        # layout tag) and one in a foreign layout can never be served.
+        sparse = store.put(live_key, 1, {"cores": []})
+        foreign = store.put(live_key, 2, {"layout": "packed-0"})
         stale = store.put(replace(live_key, fingerprint="d" * 12), 0, {})
         retired = store.put(_key(machine="vliw9000"), 0, {})
         corrupt = store.path_for(_key(benchmark="BT"), 0)
@@ -259,7 +274,7 @@ class TestCheckpointStore:
         corrupt.write_text("{ not json")
 
         preview = set(store.gc(dry_run=True))
-        assert preview == {stale, retired, corrupt}
+        assert preview == {sparse, foreign, stale, retired, corrupt}
         assert all(path.exists() for path in preview)
         assert set(store.gc()) == preview
         assert live.exists()
@@ -314,46 +329,126 @@ class TestShapeDigest:
             target.restore_warm_state(state)
 
 
-def _gshare(counters=(), history=0):
-    return {"entries": 4, "history": history, "counters": list(counters)}
+def _table(layout, values, count=None, stream=None):
+    """A packed table; ``count`` and ``stream`` override what
+    :func:`_pack` would declare and write."""
+    table = _pack(layout, values)
+    if count is not None:
+        table["count"] = count
+    if stream is not None:
+        table["data"] = base64.b64encode(stream).decode("ascii")
+    return table
 
 
-def _cache(lines=(), policy=None, ways=2):
+def _gshare(counters=(2, 2, 2, 2), history=0):
+    return {"entries": 4, "history": history, "counters": _pack("u8", counters)}
+
+
+def _columns(names, entries=4, long_column=None):
+    """Loop-predictor or BTB columns of ``entries`` cells; ``long_column``
+    (a name, count) resizes one of them."""
+    payload = {"entries": 4}
+    for name in names:
+        size = entries
+        if long_column is not None and long_column[0] == name:
+            size = long_column[1]
+        payload[name] = _pack("i64", [-1] * size)
+    return payload
+
+
+_STATELESS = {"policy": "random"}
+
+
+def _lru(rows, touched=(0, 1), ways=2):
     return {
-        "sets": 2,
-        "ways": ways,
-        "lines": list(lines),
-        "policy": policy or {"kind": "none"},
-        "seen": [],
+        "policy": "lru",
+        "touched": _pack("u8", touched),
+        "rows": _pack("u8" if ways <= 255 else "u16", rows),
     }
 
 
+def _cache(filled=(0, 0), lines=(), policy=None, ways=2, sets=2):
+    return {
+        "sets": sets,
+        "ways": ways,
+        "filled": _pack("u8", filled),
+        "lines": _pack("i64", lines),
+        "replacement": policy or _STATELESS,
+        "seen": _pack("i64", []),
+    }
+
+
+def _deflated(payload: bytes) -> bytes:
+    return zlib.compress(payload)
+
+
+#: A stream whose first bytes inflate fine but whose checksum is wrong:
+#: only an inflater that runs to the end of the stream notices.
+_BAD_TAIL = _deflated(bytes(1 << 20))[:-4] + b"\x00\x00\x00\x00"
+
+
 class TestDecoderBounds:
-    """A damaged payload fails to decode; it never wraps a negative or
-    oversized index onto another cell, or stores an impossible value."""
+    """A damaged payload fails to decode: no table restores at a size
+    other than its structure's, and no cell stores an impossible value.
+    Dense tables have no indices to push out of range, so the cases
+    that once pushed a sparse index past a table's end now shorten or
+    lengthen the table by one cell."""
 
     @pytest.mark.parametrize(
-        "decoder,payload",
+        "decoder,payload,match",
         [
-            (_decode_gshare, _gshare([[-1, 7], [1, 9]])),
-            (_decode_gshare, _gshare([[-1, 3]])),
-            (_decode_gshare, _gshare([[4, 3]])),
-            (_decode_gshare, _gshare([[1, 4]])),
-            (_decode_gshare, _gshare([[1, -1]])),
-            (_decode_gshare, _gshare(history=4)),
-            (_decode_gshare, _gshare(history=-1)),
-            (_decode_loop, {"entries": 4, "rows": [[-2, 5, 1, 0, 0]]}),
-            (_decode_loop, {"entries": 4, "rows": [[4, 5, 1, 0, 0]]}),
-            (_decode_btb, {"entries": 4, "rows": [[-2, 64, 128]]}),
-            (_decode_btb, {"entries": 4, "rows": [[4, 64, 128]]}),
-            (_decode_cache, _cache([[-1, 0, 64]])),
-            (_decode_cache, _cache([[2, 0, 64]])),
-            (_decode_cache, _cache([[0, -1, 64]])),
-            (_decode_cache, _cache([[0, 2, 64]])),
+            (
+                _decode_gshare,
+                {**_gshare(), "counters": _pack("u8", [7, 9, 2, 2, 2])},
+                "gshare counters",
+            ),
+            (
+                _decode_gshare,
+                {**_gshare(), "counters": _pack("u8", [2, 2, 2])},
+                "gshare counters",
+            ),
+            (
+                _decode_gshare,
+                {**_gshare(), "counters": _pack("u8", [2, 2, 2, 2, 3])},
+                "gshare counters",
+            ),
+            (_decode_gshare, _gshare([2, 4, 2, 2]), "gshare counter 4"),
+            (_decode_gshare, _gshare([2, 255, 2, 2]), "gshare counter 255"),
+            (_decode_gshare, _gshare(history=4), "gshare history"),
+            (_decode_gshare, _gshare(history=-1), "gshare history"),
+            (
+                _decode_loop,
+                _columns(_LOOP_COLUMNS, long_column=("trips", 3)),
+                "loop predictor trips",
+            ),
+            (
+                _decode_loop,
+                _columns(_LOOP_COLUMNS, long_column=("tags", 5)),
+                "loop predictor tags",
+            ),
+            (
+                _decode_btb,
+                _columns(_BTB_COLUMNS, long_column=("targets", 3)),
+                "BTB targets",
+            ),
+            (
+                _decode_btb,
+                _columns(_BTB_COLUMNS, long_column=("tags", 5)),
+                "BTB tags",
+            ),
+            (_decode_cache, _cache(filled=(0,)), "cache fill counts"),
+            (_decode_cache, _cache(filled=(0, 0, 0)), "cache fill counts"),
             (
                 _decode_cache,
-                _cache(policy={"kind": "sparse", "sets": 2,
-                               "data": [[-1, [0, 1]]]}),
+                _cache(filled=(1, 1), lines=[64]),
+                "cache lines",
+            ),
+            (_decode_cache, _cache(filled=(3, 0), lines=[0, 64, 128]),
+             "cache fill counts"),
+            (
+                _decode_cache,
+                _cache(policy=_lru([0, 1], touched=(1,))),
+                "replacement touched sets",
             ),
         ],
         ids=[
@@ -367,22 +462,22 @@ class TestDecoderBounds:
             "policy-negative-set",
         ],
     )
-    def test_out_of_range_cell_is_rejected(self, decoder, payload):
-        with pytest.raises(ConfigurationError, match="outside"):
+    def test_out_of_range_cell_is_rejected(self, decoder, payload, match):
+        with pytest.raises(ConfigurationError, match=match):
             decoder(payload)
 
     @pytest.mark.parametrize(
         "policy,ways",
         [
-            ({"kind": "sparse", "sets": 2, "data": [[0, [1, 1]]]}, 2),
-            ({"kind": "sparse", "sets": 2, "data": [[0, [0, 2]]]}, 2),
-            ({"kind": "sparse", "sets": 2, "data": [[1, [3, 0, 1, 1]]]}, 4),
-            ({"kind": "sparse", "sets": 2, "data": [[0, [0, 1]]]}, 4),
-            ({"kind": "sparse", "sets": 2, "data": [[0, [0, 1, 2]]]}, 2),
-            ({"kind": "sparse", "sets": 2, "data": [[0, [1, 2, 0]]]}, 4),
-            ({"kind": "sparse", "sets": 2, "data": [[0, [2]]]}, 2),
-            ({"kind": "dense", "data": [0, 2]}, 2),
-            ({"kind": "dense", "data": [-1, 0]}, 2),
+            (_lru([1, 1], touched=(1, 0)), 2),
+            (_lru([0, 2], touched=(1, 0)), 2),
+            (_lru([3, 0, 1, 1], touched=(0, 1), ways=4), 4),
+            (_lru([0, 1], touched=(1, 0), ways=4), 4),
+            (_lru([0, 1, 2], touched=(1, 0)), 2),
+            ({"policy": "plru", "rows": _pack("u8", [1, 2, 0, 0, 0, 0])}, 4),
+            ({"policy": "plru", "rows": _pack("u8", [2, 0])}, 2),
+            ({"policy": "fifo", "pointers": _pack("u8", [0, 2])}, 2),
+            ({"policy": "fifo", "pointers": _pack("u8", [255, 0])}, 2),
         ],
         ids=[
             "lru-duplicate-way", "lru-way-past-end", "lru-not-permutation",
@@ -395,40 +490,182 @@ class TestDecoderBounds:
         with pytest.raises(ConfigurationError, match="replacement"):
             _decode_cache(_cache(policy=policy, ways=ways))
 
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            # The FOUND case: LRU rows damaged into ways - 1 zero bits.
+            _lru([0, 0, 0], touched=(1, 0), ways=4),
+            # PLRU bits relabelled as LRU, and LRU rows as PLRU bits.
+            {**_lru([0, 1, 2, 3], touched=(1, 0), ways=4), "policy": "plru"},
+            {"policy": "lru", "touched": _pack("u8", [1, 0]),
+             "rows": _pack("u8", [0, 0, 0])},
+            {"policy": "lru", "touched": _pack("u8", [2, 0]),
+             "rows": _pack("u8", [0, 1, 2, 3])},
+            {"policy": "mru"},
+        ],
+        ids=[
+            "lru-rows-as-plru-bits", "lru-rows-named-plru",
+            "plru-bits-named-lru", "touched-flag-2", "unknown-policy",
+        ],
+    )
+    def test_rows_are_checked_against_the_named_policy(self, policy):
+        with pytest.raises(ConfigurationError, match="replacement"):
+            _decode_cache(_cache(policy=policy, ways=4))
+
+    @pytest.mark.parametrize(
+        "table,match",
+        [
+            ({"layout": "u8", "count": 4, "data": "not base64!"}, "base64"),
+            ({"layout": "u8", "count": 4, "data": "AAAAé"}, "base64"),
+            (_table("u8", [2] * 4, stream=b"\x78\x9cgarbage"), "corrupt"),
+            (
+                _table("u8", [2] * 4, stream=_deflated(bytes(4))[:-3]),
+                "truncated",
+            ),
+            (
+                _table("u8", [2] * 4, stream=_deflated(bytes(4)) + b"\x00"),
+                "after the zlib stream",
+            ),
+            (_table("u8", [2] * 4, stream=_BAD_TAIL), "inflates past"),
+            (
+                _table("u8", [2] * 4, stream=_deflated(bytes(3))),
+                "inflates to 3 of 4",
+            ),
+            ({**_pack("u8", [2] * 4), "layout": "u4"}, "unknown layout tag"),
+            ({**_pack("i64", [2] * 4)}, "layout 'i64', expected 'u8'"),
+            (_table("u8", [2] * 4, count=-4), "declares -4"),
+        ],
+        ids=[
+            "not-base64", "non-ascii-text", "corrupt-zlib", "truncated-zlib",
+            "bytes-after-stream", "inflates-past-declared-size",
+            "inflates-short", "unknown-layout-tag", "wrong-layout-tag",
+            "negative-count",
+        ],
+    )
+    def test_damaged_table_is_rejected(self, table, match):
+        with pytest.raises(ConfigurationError, match=match):
+            _decode_gshare({"entries": 4, "history": 0, "counters": table})
+
+    @pytest.mark.parametrize("count", [2**62, 2**70], ids=["2^62", "2^70"])
+    def test_declared_size_no_stream_can_reach_is_rejected(self, count):
+        """A huge declared count, on a table that sizes itself or on a
+        structure whose entries agree with it, is rejected before zlib
+        is asked for a buffer that large."""
+        seen = _table("i64", [64], count=count)
+        with pytest.raises(ConfigurationError, match="more than"):
+            _unpack(seen, "i64", None, "seen lines")
+        counters = _table("u8", [2] * 4, count=count)
+        with pytest.raises(ConfigurationError, match="more than"):
+            _decode_gshare(
+                {"entries": count, "history": 0, "counters": counters}
+            )
+        payload = encode_state(_small_state())
+        payload["groups"][0]["icache"]["seen"] = seen
+        with pytest.raises(ConfigurationError, match="more than"):
+            decode_state(payload)
+
+    @pytest.mark.parametrize("ways", [2**16, 2**63], ids=["2^16", "2^63"])
+    def test_cache_past_a_two_byte_way_index_is_rejected(self, ways):
+        """Way indices pack in two bytes, so no encodable cache has this
+        many ways; its tag rows are never allocated."""
+        cache = {**_cache(ways=ways), "filled": _pack("u16", [0, 0])}
+        with pytest.raises(ConfigurationError, match="two-byte way index"):
+            _decode_cache(cache)
+
+    def test_number_that_overflows_is_a_damaged_payload(self):
+        payload = encode_state(_small_state())
+        payload["predictors"][0]["direction"]["history"] = float("inf")
+        with pytest.raises(ConfigurationError, match="malformed"):
+            decode_state(payload)
+
+    def test_oversized_stream_is_not_inflated_past_its_declaration(self):
+        """The bad checksum sits after a megabyte of output: a decoder
+        that inflated the whole stream would report it as corrupt."""
+        with pytest.raises(zlib.error, match="incorrect data check"):
+            zlib.decompress(_BAD_TAIL)
+        with pytest.raises(ConfigurationError, match="inflates past"):
+            _unpack(_table("u8", [2] * 4, stream=_BAD_TAIL), "u8", 4, "t")
+
     def test_valid_replacement_state_decodes(self):
-        lru = {"kind": "sparse", "sets": 2, "data": [[1, [3, 0, 2, 1]]]}
-        plru = {"kind": "sparse", "sets": 2, "data": [[0, [1, 0, 1]]]}
-        fifo = {"kind": "dense", "data": [3, 0]}
+        lru = _lru([3, 0, 2, 1], touched=(0, 1), ways=4)
+        plru = {"policy": "plru", "rows": _pack("u8", [1, 0, 1, 0, 0, 0])}
+        fifo = {"policy": "fifo", "pointers": _pack("u8", [3, 0])}
         assert _decode_cache(_cache(policy=lru, ways=4))["policy"] == [
             None, [3, 0, 2, 1],
         ]
         assert _decode_cache(_cache(policy=plru, ways=4))["policy"] == [
-            [1, 0, 1], None,
+            [1, 0, 1], [0, 0, 0],
         ]
         assert _decode_cache(_cache(policy=fifo, ways=4))["policy"] == [3, 0]
 
     def test_in_range_cells_decode(self):
-        decoded = _decode_gshare(_gshare([[0, 0], [3, 3]], history=3))
+        decoded = _decode_gshare(_gshare([0, 2, 2, 3], history=3))
         assert decoded == {
             "counters": bytearray([0, 2, 2, 3]), "history": 3,
         }
-        tags = _decode_cache(_cache([[1, 1, 64]]))["tags"]
-        assert tags == [[None, None], [None, 64]]
+        tags = _decode_cache(_cache(filled=(0, 1), lines=[64]))["tags"]
+        assert tags == [[None, None], [64, None]]
+
+    @pytest.mark.parametrize("policy", ["lru", "fifo", "plru"])
+    def test_cache_past_255_ways_round_trips(self, policy):
+        """Way indices and fill counts switch to two bytes each."""
+        cache = SetAssociativeCache(64 * 1024, 512, 64, policy=policy)
+        for line in random.Random(5).sample(range(0, 1 << 22, 64), 900):
+            cache.access(line)
+        state = cache.warm_state()
+        payload = _encode_cache(state)
+        assert payload["filled"]["layout"] == "u16"
+        if policy != "plru":
+            assert "u16" in json.dumps(payload["replacement"])
+        decoded = _decode_cache(json.loads(json.dumps(payload)))
+        assert decoded == {**state, "seen": set(state["seen"])}
+        fresh = SetAssociativeCache(64 * 1024, 512, 64, policy=policy)
+        fresh.load_warm_state(decoded)
+        assert fresh.warm_state() == state
+
+    def test_unknown_state_layout_is_rejected(self):
+        payload = encode_state(_small_state())
+        decode_state(payload)
+        for layout in (None, "sparse", "packed-0"):
+            damaged = dict(payload)
+            if layout is None:
+                del damaged["layout"]
+            else:
+                damaged["layout"] = layout
+            with pytest.raises(ConfigurationError):
+                decode_state(damaged)
 
     def test_decode_state_rejects_a_damaged_real_payload(self):
-        model = get_model("acmp")
-        config = model.baseline_config()
-        traces = synthesize_benchmark(
-            "CG", thread_count=config.core_count, scale=0.05
-        )
-        payload = encode_state(
-            model.build_system(config, traces).capture_warm_state()
-        )
+        payload = encode_state(_small_state())
         decode_state(payload)  # the undamaged payload decodes
-        payload["predictors"][0]["direction"]["counters"].append([-1, 3])
-        with pytest.raises(ConfigurationError, match="gshare index"):
+        direction = payload["predictors"][0]["direction"]
+        direction["counters"] = _pack("u8", bytes(direction["entries"] - 1))
+        with pytest.raises(ConfigurationError, match="gshare counters"):
             decode_state(payload)
-        payload["predictors"][0]["direction"]["counters"][-1] = ["x", 3]
+        direction["counters"] = ["x", 3]
         with pytest.raises(ConfigurationError, match="malformed"):
             decode_state(payload)
 
+    def test_encoding_is_deterministic_and_round_trips(self):
+        state = _small_state()
+        payload = encode_state(state)
+        assert json.dumps(encode_state(state)) == json.dumps(payload)
+        decoded = decode_state(json.loads(json.dumps(payload)))
+        assert decoded.to_dict() == state.to_dict()
+        assert json.dumps(encode_state(decoded)) == json.dumps(payload)
+
+
+def _small_state():
+    """A warmed baseline snapshot (every structure populated)."""
+    model = get_model("acmp")
+    config = model.baseline_config(itlb_enabled=True)
+    traces = synthesize_benchmark(
+        "CG", thread_count=config.core_count, scale=0.05
+    )
+    system = model.build_system(config, traces)
+    system.warm_instruction_l2s()
+    warmer = BatchedWarmer(system, traces)
+    for interval in slice_traces(traces, TINY_PLAN):
+        if interval.kind is not IntervalKind.SKIP:
+            warmer.warm_interval(interval)
+    return system.capture_warm_state()

@@ -307,6 +307,55 @@ class TestWarmState:
         fresh.restore_warm_state(rebuilt)
         assert fresh.capture_warm_state().to_dict() == captured
 
+    @pytest.mark.parametrize("policy", ["lru", "plru", "fifo"])
+    def test_copy_owns_every_table(self, policy):
+        """``copy()`` renders like its source, and no table of the copy
+        is the source's: mutating each one in turn leaves the source's
+        rendering as it was."""
+        config = worker_shared_config(
+            icache_policy=policy, itlb_enabled=True
+        )
+        _, _, system = _warmed_system("acmp", config)
+        state = system.capture_warm_state()
+        rendered = state.to_dict()
+        copy = state.copy()
+        assert copy.to_dict() == rendered
+
+        def bump(table, index=0):
+            table[index] ^= 1
+
+        def filled(rows):
+            """The first row whose first cell holds a value."""
+            return next(row for row in rows if row and row[0] is not None)
+
+        l1, l2 = copy.groups[0]["icache"], copy.groups[0]["l2"]
+        predictor, itlb = copy.predictors[0], copy.itlbs[0]
+        mutations = {
+            "L1 tag row": lambda: bump(filled(l1["tags"])),
+            "L2 tag row": lambda: bump(filled(l2["tags"])),
+            f"L1 {policy} state": lambda: bump(
+                l1["policy"] if policy == "fifo" else filled(l1["policy"])
+            ),
+            "L2 LRU row": lambda: bump(filled(l2["policy"])),
+            "gshare byte": lambda: bump(predictor["direction"]["counters"]),
+            "L1 seen lines": lambda: l1["seen"].add(-64),
+            "L2 seen lines": lambda: l2["seen"].add(-64),
+            "line buffers": lambda: bump(
+                copy.cores[0]["line_buffers"]["entries"][0]
+            ),
+            "iTLB pages": lambda: bump(itlb["pages"][0], 1),
+            "iTLB seen pages": lambda: itlb["seen"].add(-1),
+        }
+        for structure in ("loop", "btb"):
+            for name, column in predictor[structure].items():
+                mutations[f"{structure} {name}"] = (
+                    lambda column=column: bump(column)
+                )
+        for name, mutate in mutations.items():
+            mutate()
+            assert state.to_dict() == rendered, f"copy shares its {name}"
+        assert copy.to_dict() != rendered
+
     def test_gshare_table_round_trips_as_a_bytearray(self):
         """``to_dict`` renders the byte-packed gshare table as a list;
         restoring that list converts it back to a ``bytearray``, and the

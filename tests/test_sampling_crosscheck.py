@@ -29,6 +29,13 @@ from repro.sampling import (
     SamplingPlan,
     simulate_sampled,
 )
+from repro.sampling.checkpoints import (
+    _pack,
+    _unpack,
+    decode_state,
+    encode_state,
+)
+from repro.sampling.plan import resolve_plan
 from repro.trace.synthesis import synthesize_benchmark
 
 EXACT_PLAN = SamplingPlan(
@@ -93,6 +100,48 @@ def _strip_counters(result):
     payload["sampling"] = dict(payload["sampling"])
     counters = payload["sampling"].pop("checkpoints", None)
     return payload, counters
+
+
+def _recoded(mutate):
+    """A damage that decodes an entry's state, lets ``mutate`` change the
+    :class:`WarmState`, and encodes it back."""
+
+    def damage(state):
+        warm = decode_state(state)
+        mutate(warm)
+        state.clear()
+        state.update(encode_state(warm))
+
+    return damage
+
+
+def _assert_damage_heals(
+    tmp_path, config, damage, *, scale=0.2, plan=TINY_PLAN
+):
+    """Run cold, ``damage`` the middle entry's state in place and rerun:
+    the entry must be exactly one miss, the rerun must give the clean
+    result, and the entry must be rewritten byte for byte."""
+    store = CheckpointStore(tmp_path / "checkpoints")
+    policy = Checkpointing(store=store, seed=0, scale=scale)
+    traces = synthesize_benchmark(
+        "UA", thread_count=config.core_count, scale=scale
+    )
+    clean = simulate_sampled(config, traces, plan, checkpoints=policy)
+    entries = sorted(store.root.glob("*/*/*/*/*/detail*.json"))
+    assert len(entries) >= 2
+    damaged = entries[len(entries) // 2]
+    original = damaged.read_bytes()
+    payload = json.loads(original)
+    damage(payload["state"])
+    damaged.write_text(json.dumps(payload) + "\n")
+    rerun = simulate_sampled(config, traces, plan, checkpoints=policy)
+    rerun_payload, counters = _strip_counters(rerun)
+    clean_payload, _ = _strip_counters(clean)
+    assert rerun_payload == clean_payload
+    assert counters == {
+        "hits": len(entries) - 1, "misses": 1, "writes": 1,
+    }
+    assert damaged.read_bytes() == original
 
 
 class TestCheckpointResume:
@@ -170,64 +219,133 @@ class TestCheckpointResume:
 
     def test_damaged_entry_is_a_miss_and_heals(self, tmp_path):
         """An entry whose payload parses but fails to decode (a gshare
-        cell outside its table) counts as one miss: the run re-warms
-        that interval, gives the clean run's result, and rewrites the
-        entry byte for byte."""
-        store = CheckpointStore(tmp_path / "checkpoints")
-        policy = Checkpointing(store=store, seed=0, scale=0.2)
-        config = get_model("acmp").shared_config()
-        traces = synthesize_benchmark(
-            "UA", thread_count=config.core_count, scale=0.2
+        table one byte longer than its predictor) counts as one miss:
+        the run re-warms that interval, gives the clean run's result,
+        and rewrites the entry byte for byte."""
+
+        def damage(state):
+            direction = state["predictors"][0]["direction"]
+            counters = _unpack(direction["counters"], "u8", None, "gshare")
+            direction["counters"] = _pack("u8", counters + b"\x03")
+
+        _assert_damage_heals(
+            tmp_path, get_model("acmp").shared_config(), damage
         )
-        clean = simulate_sampled(config, traces, TINY_PLAN, checkpoints=policy)
-        entries = sorted(store.root.glob("*/*/*/*/*/detail*.json"))
-        assert len(entries) >= 2
-        damaged = entries[len(entries) // 2]
-        original = damaged.read_bytes()
-        payload = json.loads(original)
-        direction = payload["state"]["predictors"][0]["direction"]
-        direction["counters"].append([-1, 3])
-        damaged.write_text(json.dumps(payload) + "\n")
-        rerun = simulate_sampled(config, traces, TINY_PLAN, checkpoints=policy)
-        rerun_payload, counters = _strip_counters(rerun)
-        clean_payload, _ = _strip_counters(clean)
-        assert rerun_payload == clean_payload
-        assert counters == {
-            "hits": len(entries) - 1, "misses": 1, "writes": 1,
-        }
-        assert damaged.read_bytes() == original
 
     def test_damaged_replacement_order_is_a_miss_and_heals(self, tmp_path):
         """An entry whose L2 recency orders were damaged into
         non-permutations of the same length decodes to a miss, not to a
         run that crashes (or evicts impossible ways) mid-interval."""
-        store = CheckpointStore(tmp_path / "checkpoints")
-        policy = Checkpointing(store=store, seed=0, scale=0.2)
-        config = get_model("acmp").shared_config()
-        traces = synthesize_benchmark(
-            "UA", thread_count=config.core_count, scale=0.2
+
+        def damage(warm):
+            for group in warm.groups:
+                rows = [row for row in group["l2"]["policy"] if row]
+                assert rows, "the L2 holds touched sets"
+                for row in rows:
+                    row[:] = [row[0]] * len(row)
+
+        _assert_damage_heals(
+            tmp_path, get_model("acmp").shared_config(), _recoded(damage)
         )
-        clean = simulate_sampled(config, traces, TINY_PLAN, checkpoints=policy)
-        entries = sorted(store.root.glob("*/*/*/*/*/detail*.json"))
-        assert len(entries) >= 2
-        damaged = entries[len(entries) // 2]
-        original = damaged.read_bytes()
-        payload = json.loads(original)
-        for group in payload["state"]["groups"]:
-            rows = group["l2"]["policy"]["data"]
-            assert rows, "the L2 holds touched sets"
-            for row in rows:
-                order = row[1]
-                row[1] = [order[0]] * len(order)
-        damaged.write_text(json.dumps(payload) + "\n")
-        rerun = simulate_sampled(config, traces, TINY_PLAN, checkpoints=policy)
-        rerun_payload, counters = _strip_counters(rerun)
-        clean_payload, _ = _strip_counters(clean)
-        assert rerun_payload == clean_payload
-        assert counters == {
-            "hits": len(entries) - 1, "misses": 1, "writes": 1,
-        }
-        assert damaged.read_bytes() == original
+
+    @pytest.mark.parametrize(
+        "scale,plan",
+        [(0.2, TINY_PLAN), (0.5, resolve_plan("fast"))],
+        ids=["silently-wrong", "crash"],
+    )
+    def test_lru_rows_damaged_into_plru_bits_are_a_miss(
+        self, scale, plan, tmp_path
+    ):
+        """L1I recency orders damaged into ``ways - 1`` zero bits, the
+        shape of tree-PLRU state: a decoder that told policies apart by
+        row length restored them as a hit, which either ran on with
+        wrong replacement state (scale 0.2) or failed mid-interval on
+        ``list.remove`` (scale 0.5, ``fast``). The record names its
+        policy, so the rows are checked as LRU rows: a miss that
+        heals."""
+
+        def damage(warm):
+            for group in warm.groups:
+                order = group["icache"]["policy"]
+                for index, row in enumerate(order):
+                    if row is not None:
+                        order[index] = [0] * (len(row) - 1)
+
+        _assert_damage_heals(
+            tmp_path,
+            get_model("acmp").baseline_config(),
+            _recoded(damage),
+            scale=scale,
+            plan=plan,
+        )
+
+    def test_entry_that_decodes_but_does_not_fit_is_a_miss(self, tmp_path):
+        """A self-consistent entry the system cannot adopt (PLRU bits in
+        an LRU cache, a gshare table of the wrong size) decodes, fails
+        its restore, and is a miss that heals like a damaged one."""
+
+        def damage(warm):
+            icache = warm.groups[0]["icache"]
+            icache["replacement"] = "plru"
+            icache["policy"] = [[0] * (len(icache["tags"][0]) - 1)] * len(
+                icache["tags"]
+            )
+            warm.predictors[0]["direction"]["counters"].append(2)
+
+        _assert_damage_heals(
+            tmp_path, get_model("acmp").shared_config(), _recoded(damage)
+        )
+
+    def test_resume_over_a_sparse_layout_entry_rewrites_it(self, tmp_path):
+        """An entry in the sparse-list layout stores wrote before states
+        were packed carries no layout tag: it is a miss that the run
+        rewrites in the packed layout, byte for byte what a cold run
+        writes."""
+        _assert_damage_heals(
+            tmp_path,
+            get_model("scmp").shared_config(),
+            lambda state: state.pop("layout"),
+        )
+
+    @pytest.mark.parametrize("machine", ["acmp", "scmp"])
+    def test_resume_alternating_hits_and_misses_rewrites_every_gap(
+        self, machine, tmp_path
+    ):
+        """Delete every other entry of a cold run and rerun. Each miss
+        hands its measurement machine a copy of the warming machine's
+        state and walks on from it; each hit after a miss restores the
+        warming machine from the hit's entry first. The rerun gives the
+        cold result and rewrites every deleted entry byte for byte."""
+        for index, config in enumerate(_design_points(machine)):
+            store = CheckpointStore(tmp_path / f"checkpoints{index}")
+            policy = Checkpointing(store=store, seed=0, scale=0.2)
+            traces = synthesize_benchmark(
+                "UA", thread_count=config.core_count, scale=0.2
+            )
+            cold = simulate_sampled(
+                config, traces, TINY_PLAN, checkpoints=policy
+            )
+            entries = sorted(
+                store.root.glob("*/*/*/*/*/detail*.json"),
+                key=lambda path: int(path.stem.removeprefix("detail")),
+            )
+            assert len(entries) >= 4
+            deleted = {path: path.read_bytes() for path in entries[::2]}
+            for path in deleted:
+                path.unlink()
+            resumed = simulate_sampled(
+                config, traces, TINY_PLAN, checkpoints=policy
+            )
+            label = f"{machine}/{config.label()}"
+            for path, original in deleted.items():
+                assert path.read_bytes() == original, (label, path.name)
+            resumed_payload, counters = _strip_counters(resumed)
+            assert resumed_payload == _strip_counters(cold)[0], label
+            assert counters == {
+                "hits": len(entries) - len(deleted),
+                "misses": len(deleted),
+                "writes": len(deleted),
+            }, label
 
     def test_resume_concurrent_writers_never_tear_entries(self, tmp_path):
         """Two stores sharing one tree (shard hosts warming the same
