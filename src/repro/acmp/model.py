@@ -52,10 +52,8 @@ class AcmpModel:
             icache_kb=icache_kb, bus_count=bus_count, **overrides
         )
 
-    def build_system(
-        self, config: AcmpConfig, traces: TraceSet, *, hollow: bool = False
-    ) -> AcmpSystem:
-        return AcmpSystem(config, traces, hollow=hollow)
+    def build_system(self, config: AcmpConfig, traces: TraceSet) -> AcmpSystem:
+        return AcmpSystem(config, traces)
 
     def build_topology(self, config: AcmpConfig):
         from repro.acmp.topology import build_topology

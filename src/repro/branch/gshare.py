@@ -13,9 +13,7 @@ class GsharePredictor(DirectionPredictor):
     ``PC xor global_history`` over 16 bits — the paper's configuration.
     """
 
-    def __init__(
-        self, size_bytes: int = 16 * 1024, allocate: bool = True
-    ) -> None:
+    def __init__(self, size_bytes: int = 16 * 1024) -> None:
         super().__init__()
         require_power_of_two(size_bytes, "gshare size_bytes")
         entries = size_bytes * 4  # 2-bit counters, four per byte
@@ -23,13 +21,9 @@ class GsharePredictor(DirectionPredictor):
         self._mask = entries - 1
         self._history_bits = log2_int(entries)
         # One byte per counter, initially weakly taken (2): a 64 Ki
-        # table is one flat buffer, not 64 Ki list slots the cyclic
-        # garbage collector walks. allocate=False builds a hollow
-        # predictor whose counter table arrives via load_warm_state;
-        # predicting before a load is a programming error.
-        self._counters = (
-            bytearray(b"\x02") * entries if allocate else bytearray()
-        )
+        # table is one flat buffer (one memset to build), not 64 Ki
+        # list slots the cyclic garbage collector walks.
+        self._counters = bytearray(b"\x02") * entries
         self._history = 0
         self._index_shift = 2
 

@@ -61,24 +61,22 @@ class ReplacementPolicy(abc.ABC):
 class LruPolicy(ReplacementPolicy):
     """True least-recently-used replacement (the paper's policy).
 
-    Per-set recency order lists are allocated on first touch: an
-    untouched set's order is way order (``None`` placeholder), which
-    keeps constructing a large cache cheap — sampled simulation builds
-    a fresh system per measurement interval, and megabyte-scale L2s
-    would otherwise pay for thousands of order lists they immediately
-    discard to a warm-state restore.
+    Recency orders are held per *touched* set: ``_order`` maps a set
+    index to its order list, created in way order on the set's first
+    access or fill. An untouched set has no entry, so a fresh cache,
+    and the copy or decode of a mostly untouched one, costs nothing per
+    set it never used.
     """
 
     name = "lru"
 
     def __init__(self, set_count: int, ways: int) -> None:
         super().__init__(set_count, ways)
-        # Recency order per set: index 0 is least recently used; None
-        # means never touched (way order).
-        self._order: list[list[int] | None] = [None] * set_count
+        # Recency order per touched set: index 0 is least recently used.
+        self._order: dict[int, list[int]] = {}
 
     def _set_order(self, set_index: int) -> list[int]:
-        order = self._order[set_index]
+        order = self._order.get(set_index)
         if order is None:
             order = list(range(self.ways))
             self._order[set_index] = order
@@ -95,11 +93,17 @@ class LruPolicy(ReplacementPolicy):
     def victim(self, set_index: int) -> int:
         return self._set_order(set_index)[0]
 
-    def warm_state(self) -> list[list[int] | None]:
+    def warm_state(self) -> dict[int, list[int]]:
         return self._order
 
     def load_warm_state(self, state) -> None:
-        if len(state) != self.set_count:
+        """Adopt the touched sets' orders: each at a set index below
+        ``set_count`` and ``ways`` long (one check per touched set)."""
+        sets, ways = self.set_count, self.ways
+        if any(
+            not 0 <= index < sets or len(order) != ways
+            for index, order in state.items()
+        ):
             raise ValueError("LRU snapshot shape does not match the cache")
         self._order = state
 

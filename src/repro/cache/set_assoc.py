@@ -16,6 +16,10 @@ from repro.errors import ConfigurationError
 from repro.utils import log2_int, require_power_of_two
 
 
+#: The row of a set that holds no line: every way misses.
+_NO_ROW = ()
+
+
 @dataclass(frozen=True, slots=True)
 class AccessResult:
     """Outcome of one cache access."""
@@ -34,11 +38,13 @@ class SetAssociativeCache:
         line_bytes: cache line size.
         policy: replacement policy name (default the paper's LRU).
         name: label used in diagnostics and reports.
-        allocate: when False, skip allocating the tag array — a *hollow*
-            cache whose storage arrives via :meth:`load_warm_state`
-            (which validates shapes against the constructor parameters,
-            not the allocated storage). Accessing a hollow cache before
-            a load is a programming error.
+
+    Tags are held per *filled* set: ``_tags`` maps a set index to that
+    set's valid lines in way order. A set fills its first free way and
+    drops its lines only all at once (:meth:`invalidate_all`), so its
+    first free way is the row's length and a set with no line has no
+    row. A fresh cache, and the copy or decode of a mostly empty one,
+    costs nothing per empty set.
     """
 
     def __init__(
@@ -48,7 +54,6 @@ class SetAssociativeCache:
         line_bytes: int = 64,
         policy: str = "lru",
         name: str = "cache",
-        allocate: bool = True,
     ) -> None:
         require_power_of_two(size_bytes, "size_bytes")
         require_power_of_two(line_bytes, "line_bytes")
@@ -71,10 +76,9 @@ class SetAssociativeCache:
         # ``address & -line_bytes`` equals the shift-down/shift-up).
         self._line_mask = -line_bytes
         require_power_of_two(self.set_count, "set count")
-        # tags[set][way] holds the line address or None when invalid.
-        self._tags: list[list[int | None]] = (
-            [[None] * ways for _ in range(self.set_count)] if allocate else []
-        )
+        # tags[set][way] holds the line address; ways past a row's end
+        # (and sets without a row) are invalid.
+        self._tags: dict[int, list[int]] = {}
         self._policy: ReplacementPolicy = make_policy(policy, self.set_count, ways)
         self.stats = CacheStats()
 
@@ -88,7 +92,9 @@ class SetAssociativeCache:
     def probe(self, address: int) -> bool:
         """Check residency without updating replacement state or stats."""
         line = address & self._line_mask
-        return line in self._tags[(line >> self._line_shift) & self._set_mask]
+        return line in self._tags.get(
+            (line >> self._line_shift) & self._set_mask, _NO_ROW
+        )
 
     def lookup(self, address: int) -> bool:
         """Timing-path access: update stats/recency but do NOT fill on miss.
@@ -99,9 +105,8 @@ class SetAssociativeCache:
         """
         line = address & self._line_mask
         set_index = (line >> self._line_shift) & self._set_mask
-        tags = self._tags[set_index]
         try:
-            way = tags.index(line)
+            way = self._tags.get(set_index, _NO_ROW).index(line)
         except ValueError:
             way = -1
         if way < 0:
@@ -119,9 +124,8 @@ class SetAssociativeCache:
         """
         line = address & self._line_mask
         set_index = (line >> self._line_shift) & self._set_mask
-        tags = self._tags[set_index]
         try:
-            way = tags.index(line)
+            way = self._tags.get(set_index, _NO_ROW).index(line)
         except ValueError:
             way = -1
         if way >= 0:
@@ -139,32 +143,33 @@ class SetAssociativeCache:
         """
         line = address & self._line_mask
         set_index = (line >> self._line_shift) & self._set_mask
-        if line in self._tags[set_index]:
+        if line in self._tags.get(set_index, _NO_ROW):
             return None
         return self._fill(set_index, line)
 
     def _fill(self, set_index: int, line: int) -> int | None:
-        tags = self._tags[set_index]
-        try:
-            way = tags.index(None)
-        except ValueError:
-            way = -1
-        if way >= 0:
-            victim: int | None = None
+        tags = self._tags.get(set_index)
+        victim: int | None = None
+        if tags is None:
+            self._tags[set_index] = [line]
+            way = 0
+        elif len(tags) < self.ways:
+            way = len(tags)
+            tags.append(line)
         else:
             way = self._policy.victim(set_index)
             victim = tags[way]
+            tags[way] = line
             self.stats.record_eviction()
-        tags[way] = line
         self._policy.on_fill(set_index, way)
         return victim
 
     # -- warm-state checkpoints --------------------------------------------
 
     def warm_state(self) -> dict:
-        """Tag array, replacement state (named by its policy) and the
-        compulsory-miss classifier (lines ever resident), passed by
-        reference.
+        """Geometry, the filled sets' tag rows, replacement state (named
+        by its policy) and the compulsory-miss classifier (lines ever
+        resident), the tables passed by reference.
 
         The seen-lines set rides along because it is warm state, not a
         counter: a restored cache that forgot which lines it ever held
@@ -178,6 +183,8 @@ class SetAssociativeCache:
         deep-copies into JSON primitives, stays the form tests compare.
         """
         return {
+            "sets": self.set_count,
+            "ways": self.ways,
             "tags": self._tags,
             "replacement": self._policy.name,
             "policy": self._policy.warm_state(),
@@ -186,10 +193,17 @@ class SetAssociativeCache:
 
     def load_warm_state(self, state) -> None:
         """Adopt a snapshot captured from an identically-shaped cache
-        under the same replacement policy."""
+        under the same replacement policy.
+
+        The shape check costs one step per filled set: every row must
+        sit at a set index below this cache's set count and hold at most
+        ``ways`` lines.
+        """
+        sets, ways = self.set_count, self.ways
         tags = state["tags"]
-        if len(tags) != self.set_count or any(
-            len(ways) != self.ways for ways in tags
+        if any(
+            not 0 <= index < sets or len(row) > ways
+            for index, row in tags.items()
         ):
             raise ValueError(
                 f"cache snapshot shape does not match {self!r}"
@@ -210,15 +224,13 @@ class SetAssociativeCache:
 
     def invalidate_all(self) -> None:
         """Drop every line (replacement state is left as-is)."""
-        for tags in self._tags:
-            for way in range(self.ways):
-                tags[way] = None
+        self._tags.clear()
 
     def resident_lines(self) -> set[int]:
         """All currently resident line addresses (for inspection/tests)."""
         lines: set[int] = set()
-        for tags in self._tags:
-            lines.update(tag for tag in tags if tag is not None)
+        for tags in self._tags.values():
+            lines.update(tags)
         return lines
 
     def __repr__(self) -> str:

@@ -39,6 +39,10 @@ class EventQueue:
             ran += 1
         return ran
 
+    def clear(self) -> None:
+        """Drop every pending callback."""
+        self._heap.clear()
+
     def __len__(self) -> int:
         return len(self._heap)
 

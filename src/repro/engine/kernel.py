@@ -196,6 +196,20 @@ class SimulationKernel:
         """Install extra diagnostic text for deadlock errors."""
         self._deadlock_detail = detail
 
+    def release(self) -> None:
+        """Drop every slot, wake hook and predicate the wiring installed.
+
+        Those are bound methods and closures over the simulated machine,
+        which holds this kernel in turn; dropping them leaves the pair
+        free of reference cycles (see :meth:`repro.machine.system.
+        System.release`). The kernel cannot run afterwards.
+        """
+        self._steps.clear()
+        self._on_wake.clear()
+        self._finished = None
+        self._describe = None
+        self._deadlock_detail = None
+
     # -- sleep/wake API ------------------------------------------------------
 
     def sleep(self, slot: int, wake_at: int) -> None:

@@ -83,6 +83,10 @@ class PrivateIcachePort:
         if self.wake_listener is not None:
             self.wake_listener(self.core_id)
 
+    def release(self) -> None:
+        """Drop the callbacks into the core (see ``System.release``)."""
+        self._on_fill = self.wake_listener = None
+
 
 class SharedIcacheGroup:
     """A group of cores sharing one I-cache behind an I-interconnect.
@@ -247,6 +251,11 @@ class SharedIcacheGroup:
     def settle_busy(self, upto: int) -> int:
         """Batch-charge busy cycles the sleeping component never stepped."""
         return self.interconnect.settle_busy(upto)
+
+    def release(self) -> None:
+        """Drop the callbacks into the cores (see ``System.release``)."""
+        self._fill_callbacks = {}
+        self.wake_listener = self.stall_listener = None
 
 
 class SharedPortView:

@@ -68,17 +68,9 @@ class MachineModel(Protocol):
         with ``shared_config`` at full sharing degree."""
 
     def build_system(
-        self,
-        config: BaseMachineConfig,
-        traces: TraceSet,
-        *,
-        hollow: bool = False,
+        self, config: BaseMachineConfig, traces: TraceSet
     ) -> System:
-        """Assemble the simulated machine for one (config, traces) pair.
-
-        ``hollow=True`` skips allocating the large dense tables; the
-        system is only usable after ``restore_warm_state`` (the sampled
-        simulator's measurement machines)."""
+        """Assemble the simulated machine for one (config, traces) pair."""
 
     def build_topology(self, config: BaseMachineConfig):
         """Derive the cache-group topology for a bare configuration

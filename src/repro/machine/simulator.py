@@ -43,7 +43,11 @@ _STALL_LIMIT = 200_000
 
 
 class SystemSimulator:
-    """Runs one :class:`System` to completion on a simulation kernel."""
+    """Runs one :class:`System` to completion on a simulation kernel.
+
+    The system stays wired after :meth:`run` (callers may inspect it);
+    its owner calls :meth:`System.release` when done with it.
+    """
 
     def __init__(self, system: System, *, cycle_skip: bool = True) -> None:
         self.system = system
@@ -161,8 +165,11 @@ def simulate(
 
     model = model_for_config(config)
     system = model.build_system(config, traces)
-    if warm_l2:
-        system.warm_instruction_l2s()
-    return SystemSimulator(system, cycle_skip=cycle_skip).run(
-        max_cycles=max_cycles
-    )
+    try:
+        if warm_l2:
+            system.warm_instruction_l2s()
+        return SystemSimulator(system, cycle_skip=cycle_skip).run(
+            max_cycles=max_cycles
+        )
+    finally:
+        system.release()

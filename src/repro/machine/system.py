@@ -157,13 +157,7 @@ class System:
     #: Registry name of the machine model; stamped into results.
     machine_name: ClassVar[str] = "machine"
 
-    def __init__(
-        self,
-        config: BaseMachineConfig,
-        traces: TraceSet,
-        *,
-        hollow: bool = False,
-    ) -> None:
+    def __init__(self, config: BaseMachineConfig, traces: TraceSet) -> None:
         if traces.thread_count != config.core_count:
             raise ConfigurationError(
                 f"trace set has {traces.thread_count} threads but the "
@@ -171,13 +165,10 @@ class System:
             )
         self.config = config
         self.traces = traces
-        #: Hollow systems skip allocation of the large dense tables
-        #: (cache tag arrays, gshare counters) and are only valid after
-        #: :meth:`restore_warm_state` adopts a snapshot's storage — the
-        #: sampled simulator's short-lived measurement machines, whose
-        #: fresh tables would be overwritten before first use anyway.
-        self.hollow = hollow
         self._warm_shape: str | None = None
+        #: The cores each ICOUNT urgency closure reads (see
+        #: :meth:`release`).
+        self._urgency_cores: list[list[Core]] = []
         self.topology: Topology = self._build_topology()
         self.events = EventQueue()
 
@@ -200,6 +191,9 @@ class System:
         #: Per-core units registered with the kernel; the simulator
         #: aggregates their commit-replay counters after a run.
         self.core_units: list[CoreUnit] = []
+        #: The kernel :meth:`register_components` wired, until
+        #: :meth:`release` unwires it.
+        self._kernel = None
         self._build()
 
     # -- machine hooks -----------------------------------------------------
@@ -240,9 +234,7 @@ class System:
         is_master = core_id == 0
         context = self.contexts[core_id]
         predictor = FetchPredictor(
-            direction=GsharePredictor(
-                config.gshare_bytes, allocate=not self.hollow
-            ),
+            direction=GsharePredictor(config.gshare_bytes),
             loop=LoopPredictor(config.loop_predictor_entries),
         )
         line_buffers = LineBufferSet(
@@ -284,7 +276,6 @@ class System:
             config.icache_line_bytes,
             policy=config.icache_policy,
             name=f"icache[{group.index}]",
-            allocate=not self.hollow,
         )
         hierarchy = InstructionHierarchy(
             self.memory_controller,
@@ -293,7 +284,6 @@ class System:
             l2_latency=config.l2_latency,
             line_bytes=config.icache_line_bytes,
             name=f"l2[{group.index}]",
-            allocate=not self.hollow,
         )
         hardware = _GroupHardware(group=group, cache=cache, hierarchy=hierarchy)
         if group.shared:
@@ -319,9 +309,7 @@ class System:
                 )
             if config.shared_fetch_predictor:
                 shared_predictor = FetchPredictor(
-                    direction=GsharePredictor(
-                        config.gshare_bytes, allocate=not self.hollow
-                    ),
+                    direction=GsharePredictor(config.gshare_bytes),
                     loop=LoopPredictor(config.loop_predictor_entries),
                 )
                 for core_id in group.core_ids:
@@ -370,6 +358,7 @@ class System:
         if config.arbitration != "icount":
             return lambda n: make_arbiter(config.arbitration, n)
         slot_cores = [self.cores[core_id] for core_id in group.core_ids]
+        self._urgency_cores.append(slot_cores)
 
         def urgency(slot: int) -> float:
             return -float(slot_cores[slot].backend.iq_count)
@@ -400,6 +389,7 @@ class System:
         """
         units = [CoreUnit(core, kernel) for core in self.cores]
         self.core_units = units
+        self._kernel = kernel
         tracer = getattr(kernel, "tracer", None)
         if tracer is not None:
             # Timeline tracing: settled replay windows become spans on
@@ -479,6 +469,33 @@ class System:
             else:
                 for port in hardware.private_ports.values():
                     port.wake_listener = wake_core
+
+    def release(self) -> None:
+        """Unwire the machine so reference counting frees it.
+
+        Assembly and kernel wiring make the machine cyclic: the ports'
+        fill and wake listeners, the runtime's wake listener, queued
+        events and the ICOUNT urgency closure lead back to the cores
+        that own the ports, and the kernel's slots and hooks are bound
+        methods of the units and of this system, which hold the kernel
+        in turn. Left wired, a finished machine is garbage only the
+        cyclic collector finds, and its collections (which walk every
+        dead table) land in whichever layer allocates next. The owner
+        calls this once results are collected; the system cannot run
+        afterwards.
+        """
+        if self._kernel is not None:
+            self._kernel.release()
+            self._kernel = None
+        self.runtime.wake_listener = None
+        self.events.clear()
+        for hardware in self.group_hardware:
+            if hardware.shared is not None:
+                hardware.shared.release()
+            for port in hardware.private_ports.values():
+                port.release()
+        for cores in self._urgency_cores:
+            cores.clear()
 
     def all_finished(self) -> bool:
         """True when every thread consumed its trace and drained.

@@ -18,19 +18,32 @@ CMP get sampled simulation without model-specific code.
 Sharing semantics: for the large tables (cache tags, replacement order,
 gshare counters, loop predictor, BTB, seen sets) capture and restore
 pass storage **by reference** — a restored system and the snapshot's
-source share those lists. Capture is therefore free, and a snapshot
+source share those tables. Capture is therefore free, and a snapshot
 that is restored into exactly one system needs no copy at all (a
 decoded checkpoint). Three ways out of the sharing, one per use:
 
 * :meth:`WarmState.copy` serves in-process hand-offs: C-level list,
-  ``bytearray`` and set copies of every table, no serialization. The
-  sampled simulator hands each measurement machine a copy while its
-  warming machine keeps (and walks on with) its own tables.
+  ``bytearray``, dict and set copies of every table, no serialization.
+  The sampled simulator hands each measurement machine a copy while
+  its warming machine keeps (and walks on with) its own tables.
 * :meth:`WarmState.to_dict` deep-copies into JSON primitives. It is
   the form tests compare; :meth:`WarmState.from_dict` rebuilds a
   snapshot whose storage is fresh.
 * :func:`repro.sampling.checkpoints.encode_state` packs a snapshot for
   the on-disk checkpoint store without copying it first.
+
+Cache state is sparse: a cache snapshot carries its geometry (``sets``
+and ``ways``), a dict from each *filled* set's index to its valid lines
+in way order (the first free way is the row's length) and, under LRU, a
+dict from each *touched* set's index to its recency order. A set that
+never held a line costs nothing to capture, copy, encode, decode or
+restore; of the 131,840 sets a fig07 + fig10 sweep's checkpoints
+describe (UA and CG at scale 0.5), 98,957 hold no line. PLRU bits and
+FIFO pointers stay one dense row or cell per set.
+:meth:`WarmState.to_dict` renders the sparse tables dense (a
+``ways``-long row per set, ``None`` for an invalid way or an untouched
+set's order), which :meth:`WarmState.from_dict` reads back into sparse
+ones.
 
 The gshare counter table is a ``bytearray`` (one byte per 2-bit
 counter), shared by reference like the other tables; the warmer's
@@ -93,7 +106,8 @@ class WarmState:
         can be persisted or compared while simulation continues. Live
         sets (the compulsory-miss classifiers, captured by reference)
         serialize as sorted lists, so equal states render identically;
-        the gshare ``bytearray`` serializes as a list of ints.
+        the gshare ``bytearray`` serializes as a list of ints, and the
+        sparse cache tables as dense rows (see the module docstring).
         """
 
         def jsonable(value):
@@ -111,7 +125,11 @@ class WarmState:
                     "cores": self.cores,
                     "predictors": self.predictors,
                     "itlbs": self.itlbs,
-                    "groups": self.groups,
+                    "groups": [
+                        {name: _dense_cache(cache)
+                         for name, cache in group.items()}
+                        for group in self.groups
+                    ],
                     "shape": self.shape,
                 },
                 default=jsonable,
@@ -122,9 +140,10 @@ class WarmState:
         """A snapshot with the same content and storage of its own.
 
         The in-process hand-off: every table is copied with one C-level
-        call per list (a row at a time for the per-set tables), the
-        gshare ``bytearray`` and the seen sets are copied whole, and
-        scalars are shared. Restoring the copy never couples the
+        call per list (a row at a time for the per-set tables, filled
+        or touched sets only for the sparse ones), the gshare
+        ``bytearray`` and the seen sets are copied whole, and scalars
+        are shared. Restoring the copy never couples the
         restored system to this snapshot's source, and
         ``copy().to_dict() == to_dict()``.
         """
@@ -180,7 +199,8 @@ class WarmState:
         The payload is deep-copied (one JSON round trip), so the
         snapshot owns fresh storage: restoring it never couples a
         system to the caller's dict, matching the docstring promise of
-        :meth:`to_dict`.
+        :meth:`to_dict`. Dense cache rows are read back into sparse
+        ones.
         """
         try:
             data = json.loads(json.dumps(data))
@@ -190,10 +210,14 @@ class WarmState:
                 cores=list(data["cores"]),
                 predictors=list(data["predictors"]),
                 itlbs=list(data["itlbs"]),
-                groups=list(data["groups"]),
+                groups=[
+                    {name: _sparse_cache(cache)
+                     for name, cache in group.items()}
+                    for group in data["groups"]
+                ],
                 shape=data.get("shape", ""),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, AttributeError, IndexError) as exc:
             raise ConfigurationError(
                 f"malformed warm-state payload: {exc}"
             ) from exc
@@ -239,19 +263,75 @@ def _copy_columns(state: dict) -> dict:
 
 
 def _copy_cache(state: dict) -> dict:
-    """Tag rows, replacement state and the seen-lines set.
+    """Geometry, tag rows, replacement state and the seen-lines set.
 
-    Replacement state is per-set rows (LRU order, ``None`` for an
-    untouched set; PLRU bits), per-set ints (FIFO pointers) or ``None``
-    (a policy without warm state): rows are copied, ints and ``None``
-    shared.
+    Replacement state is a dict of touched sets' rows (LRU), per-set
+    rows (PLRU bits), per-set ints (FIFO pointers) or ``None`` (a policy
+    without warm state): rows are copied, ints and ``None`` shared.
     """
+    tags = state["tags"]
     policy = state["policy"]
+    if type(policy) is dict:
+        policy = dict(zip(policy, map(list.copy, policy.values())))
+    elif policy is not None:
+        policy = [row.copy() if type(row) is list else row for row in policy]
     return {
-        "tags": list(map(list.copy, state["tags"])),
+        "sets": state["sets"],
+        "ways": state["ways"],
+        "tags": dict(zip(tags, map(list.copy, tags.values()))),
         "replacement": state["replacement"],
-        "policy": None if policy is None else [
-            row.copy() if type(row) is list else row for row in policy
-        ],
+        "policy": policy,
         "seen": set(state["seen"]),
+    }
+
+
+# -- the dense form of a cache snapshot -------------------------------------
+
+
+def _dense_cache(state: dict) -> dict:
+    """A cache snapshot with ``ways``-long tag rows for every set
+    (``None`` for an invalid way) and, under LRU, an order row per set
+    (``None`` for an untouched one)."""
+    sets, ways = state["sets"], state["ways"]
+    tags: list[list[int | None]] = [[None] * ways for _ in range(sets)]
+    for index, row in state["tags"].items():
+        tags[index][:len(row)] = row
+    policy = state["policy"]
+    if type(policy) is dict:
+        policy = [policy.get(index) for index in range(sets)]
+    return {
+        "tags": tags,
+        "replacement": state["replacement"],
+        "policy": policy,
+        "seen": state["seen"],
+    }
+
+
+def _sparse_cache(state: dict) -> dict:
+    """The inverse of :func:`_dense_cache`: geometry from the dense
+    rows, a row per filled set and an order per touched LRU set."""
+    tags = state["tags"]
+    rows: dict[int, list[int]] = {}
+    for index, row in enumerate(tags):
+        lines = [line for line in row if line is not None]
+        if lines != row[:len(lines)]:
+            raise ConfigurationError(
+                f"cache tag row {index} holds an invalid way before a line"
+            )
+        if lines:
+            rows[index] = lines
+    policy = state["policy"]
+    if state["replacement"] == "lru":
+        policy = {
+            index: order
+            for index, order in enumerate(policy)
+            if order is not None
+        }
+    return {
+        "sets": len(tags),
+        "ways": len(tags[0]),
+        "tags": rows,
+        "replacement": state["replacement"],
+        "policy": policy,
+        "seen": state["seen"],
     }

@@ -34,7 +34,6 @@ class InstructionHierarchy:
         l2_latency: int = 20,
         line_bytes: int = 64,
         name: str = "l2",
-        allocate: bool = True,
     ) -> None:
         require_positive(l2_latency, "l2_latency")
         self.controller = controller
@@ -46,7 +45,6 @@ class InstructionHierarchy:
             line_bytes,
             policy="lru",
             name=name,
-            allocate=allocate,
         )
 
     def fetch_line(self, line_address: int, now: int) -> MissCompletion:

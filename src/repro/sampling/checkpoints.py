@@ -47,7 +47,8 @@ structure instead of ~10^4 small lists:
 * gshare counters: their raw bytes (``u8``, one per counter);
 * loop predictor and BTB: one ``i64`` table per column;
 * cache tags: a fill count per set (``u8``, ``u16`` past 255 ways)
-  and the valid lines (``i64``) — rows fill from their first way;
+  and the filled sets' lines (``i64``) in set order — rows fill from
+  their first way, so a count is a row's length;
 * replacement state, named by its policy (``lru``/``plru``/``fifo``/
   ``random``): LRU a touched flag per set plus the touched sets'
   recency orders, PLRU ``ways - 1`` tree bits per set, FIFO one
@@ -78,7 +79,7 @@ import tempfile
 import time
 import zlib
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from pathlib import Path
 
 from repro.campaign.store import _UMASK, _format_scale, _sanitize
@@ -280,21 +281,21 @@ def _decode_btb(payload: dict) -> dict:
     return _decode_columns(payload, _BTB_COLUMNS, "BTB")
 
 
-def _encode_policy(name: str, state, ways: int) -> dict:
+def _encode_policy(name: str, state, sets: int, ways: int) -> dict:
     """Replacement state under its policy's name.
 
     LRU: a touched flag per set (an untouched set holds no order list)
-    and the touched sets' recency orders, ``ways`` indices each; PLRU:
-    ``ways - 1`` tree bits per set; FIFO: one next-victim index per
-    set; any other policy (random) holds no warm state.
+    and the touched sets' recency orders in set order, ``ways`` indices
+    each; PLRU: ``ways - 1`` tree bits per set; FIFO: one next-victim
+    index per set; any other policy (random) holds no warm state.
     """
     if name == "lru":
         return {
             "policy": name,
-            "touched": _pack("u8", [row is not None for row in state]),
+            "touched": _pack("u8", map(state.__contains__, range(sets))),
             "rows": _pack(
                 _way_layout(ways),
-                list(chain.from_iterable(filter(None, state))),
+                list(chain.from_iterable(map(state.__getitem__, sorted(state)))),
             ),
         }
     if name == "plru":
@@ -311,7 +312,8 @@ def _decode_policy(payload: dict, sets: int, ways: int):
     comparison per touched set), a PLRU row ``ways - 1`` bits of 0/1
     and a FIFO pointer below ``ways``; a damaged order would otherwise
     surface mid-run (an LRU row that is not a permutation fails its
-    first ``remove``) or silently pick impossible victims.
+    first ``remove``) or silently pick impossible victims. LRU state
+    decodes to a dict of the touched sets' orders.
     """
     name = payload["policy"]
     if name == "lru":
@@ -330,7 +332,7 @@ def _decode_policy(payload: dict, sets: int, ways: int):
         # when deleting its values from range(ways) leaves nothing: one
         # C-level translate per touched set (a set compare past 255).
         identity = bytes(range(ways)) if layout == "u8" else set(range(ways))
-        order: list[list[int] | None] = [None] * sets
+        order: dict[int, list[int]] = {}
         start = 0
         for index in compress(range(sets), touched):
             row = flat[start:start + ways]
@@ -367,53 +369,46 @@ def _decode_policy(payload: dict, sets: int, ways: int):
     raise _damaged("replacement", f"unknown policy {name!r}")
 
 
-def _encode_lines(tags: list[list[int | None]], ways: int) -> dict:
-    """The tag array as a fill count per set plus the valid lines.
-
-    A cache fills its first invalid way and invalidates ways only all
-    at once (:meth:`SetAssociativeCache.invalidate_all`), so every row
-    is its valid lines followed by ``None``: the ``count`` leading
-    ways hold the lines, in set order.
-    """
-    counts = [ways - row.count(None) for row in tags]
-    lines = list(
-        chain.from_iterable(
-            row[:count] for row, count in zip(tags, counts)
-        )
-    )
-    if None in lines:
-        raise ValueError("cache tag row holds an invalid way before a line")
+def _encode_lines(tags: dict[int, list[int]], sets: int, ways: int) -> dict:
+    """The filled sets' rows as a fill count per set plus the valid
+    lines, in set order."""
+    counts = [0] * sets
+    for index, row in tags.items():
+        counts[index] = len(row)
     return {
         "filled": _pack(_way_layout(ways), counts),
-        "lines": _pack("i64", lines),
+        "lines": _pack(
+            "i64", chain.from_iterable(map(tags.__getitem__, sorted(tags)))
+        ),
     }
 
 
-def _decode_lines(payload: dict, sets: int, ways: int) -> list:
+def _decode_lines(payload: dict, sets: int, ways: int) -> dict:
+    """A row per filled set; nothing is allocated for an empty one, so
+    the declared geometry costs only its fill-count table."""
     counts = _unpack(
         payload["filled"], _way_layout(ways), sets, "cache fill counts"
     )
     if max(counts) > ways:
         raise _damaged("cache fill counts", f"{max(counts)} of {ways} ways")
     lines = _unpack(payload["lines"], "i64", sum(counts), "cache lines")
-    tags = list(map(list.copy, repeat([None] * ways, sets)))
+    tags: dict[int, list[int]] = {}
     start = 0
     for index in compress(range(sets), counts):
-        count = counts[index]
-        tags[index][:count] = lines[start:start + count]
-        start += count
+        end = start + counts[index]
+        tags[index] = lines[start:end]
+        start = end
     return tags
 
 
 def _encode_cache(state: dict) -> dict:
-    tags = state["tags"]
-    ways = len(tags[0])
+    sets, ways = state["sets"], state["ways"]
     return {
-        "sets": len(tags),
+        "sets": sets,
         "ways": ways,
-        **_encode_lines(tags, ways),
+        **_encode_lines(state["tags"], sets, ways),
         "replacement": _encode_policy(
-            state["replacement"], state["policy"], ways
+            state["replacement"], state["policy"], sets, ways
         ),
         "seen": _pack("i64", sorted(state["seen"])),
     }
@@ -426,6 +421,8 @@ def _decode_cache(payload: dict) -> dict:
         raise _damaged("cache", f"{ways} ways, past a two-byte way index")
     replacement = payload["replacement"]
     return {
+        "sets": sets,
+        "ways": ways,
         "tags": _decode_lines(payload, sets, ways),
         "replacement": replacement["policy"],
         "policy": _decode_policy(replacement, sets, ways),
@@ -497,10 +494,14 @@ def encode_state(state: WarmState) -> dict:
 
 
 def decode_state(payload: dict) -> WarmState:
-    """Rebuild a :class:`WarmState` with fresh dense storage.
+    """Rebuild a :class:`WarmState` with fresh storage.
 
-    The inverse of :func:`encode_state`; every decode owns independent
-    tables, so restoring the result never couples two systems. Raises
+    The inverse of :func:`encode_state` (``encode_state(decode_state(p))
+    == p`` for every payload the encoder wrote); every decode owns
+    independent tables, so restoring the result never couples two
+    systems. Cache rows and LRU orders are built for the filled and
+    touched sets only: a declared geometry costs its per-set count and
+    flag tables, never a ``sets × ways`` array. Raises
     :class:`~repro.errors.ConfigurationError` on a damaged payload: a
     layout other than :data:`STATE_LAYOUT`, missing fields or wrong
     types or numbers past what the structures can hold (an infinite

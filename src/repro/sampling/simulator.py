@@ -5,10 +5,11 @@ a :class:`~repro.sampling.plan.SamplingPlan`:
 
 * ``DETAIL`` intervals are materialised as standalone trace sets and run
   through the ordinary :class:`~repro.machine.simulator.SystemSimulator`
-  on a freshly-built *hollow* system (no dense tables of its own) seeded
-  with the warm state entering the interval, so the measurement
-  machinery is exactly the full simulator's (both engines, both machine
-  models).
+  on a freshly-built system seeded with the warm state entering the
+  interval, so the measurement machinery is exactly the full
+  simulator's (both engines, both machine models). A fresh system's
+  cache tables are empty dicts, so the build costs nothing per set the
+  restore then replaces.
 * ``WARM`` intervals are *functionally warmed* on a long-lived warming
   system via :class:`~repro.sampling.warmer.BatchedWarmer` — state
   updates with no timing.
@@ -359,9 +360,6 @@ class SampledSimulator:
 
         def probe_cycles(copies: int) -> int:
             probe = _transient_probe(self.traces, copies)
-            system = self.model.build_system(self.config, probe)
-            if self.warm_l2:
-                system.warm_instruction_l2s()
             full = Interval(
                 kind=IntervalKind.WARM,
                 index=0,
@@ -372,11 +370,17 @@ class SampledSimulator:
                 entry_ipc=tuple(None for _ in probe.threads),
                 instructions=0,
             )
-            # The same batched walk production warming takes.
-            BatchedWarmer(system, probe).warm_interval(full)
-            return SystemSimulator(
-                system, cycle_skip=self.cycle_skip
-            ).run(max_cycles).cycles
+            system = self.model.build_system(self.config, probe)
+            try:
+                if self.warm_l2:
+                    system.warm_instruction_l2s()
+                # The same batched walk production warming takes.
+                BatchedWarmer(system, probe).warm_interval(full)
+                return SystemSimulator(
+                    system, cycle_skip=self.cycle_skip
+                ).run(max_cycles).cycles
+            finally:
+                system.release()
 
         transient = max(0, 2 * probe_cycles(1) - probe_cycles(2))
         if len(_TRANSIENT_MEMO) >= _TRANSIENT_MEMO_LIMIT:
@@ -472,94 +476,103 @@ class SampledSimulator:
                 )
 
         def materialise(interval: Interval, entry_state) -> System:
-            """The interval's hollow measurement system, seeded with
+            """The interval's measurement system, seeded with
             ``entry_state`` (which it adopts by reference)."""
             system = self.model.build_system(
-                self.config,
-                interval_traceset(self.traces, interval),
-                hollow=True,
+                self.config, interval_traceset(self.traces, interval)
             )
-            system.restore_warm_state(entry_state)
+            try:
+                system.restore_warm_state(entry_state)
+            except ConfigurationError:
+                system.release()
+                raise
             return system
 
         exhaustive: list[SimulationResult] = []
         sampled: list[tuple[Interval, SimulationResult]] = []
         detail_ordinal = 0
-        for position, interval in enumerate(intervals):
-            if interval.kind is not IntervalKind.DETAIL:
-                continue
-            ordinal = detail_ordinal
-            detail_ordinal += 1
-            payload = None
-            if store is not None and not policy.refresh:
-                io_started = time.perf_counter()
-                payload = store.get(key, ordinal)
-                if timer is not None:
-                    timer.add("store_io", time.perf_counter() - io_started)
-            system = None
-            if payload is not None:
-                try:
-                    entry_state = decode_state(payload)
+        try:
+            for position, interval in enumerate(intervals):
+                if interval.kind is not IntervalKind.DETAIL:
+                    continue
+                ordinal = detail_ordinal
+                detail_ordinal += 1
+                payload = None
+                if store is not None and not policy.refresh:
+                    io_started = time.perf_counter()
+                    payload = store.get(key, ordinal)
+                    if timer is not None:
+                        timer.add("store_io", time.perf_counter() - io_started)
+                system = None
+                if payload is not None:
+                    try:
+                        entry_state = decode_state(payload)
+                        measure_started = time.perf_counter()
+                        span_from = tracer.wall_ts() if tracer is not None else 0.0
+                        system = materialise(interval, entry_state)
+                    except ConfigurationError:
+                        # A damaged or foreign entry is a miss, like corrupt
+                        # JSON in the store: re-warm and let the put below
+                        # heal it.
+                        system = None
+                    else:
+                        hits += 1
+                        pending_restore = payload
+                        walk_cursor = position
+                if system is None:
+                    misses += 1
+                    ensure_warming_through(position)
+                    live = warming.capture_warm_state()
+                    if store is not None:
+                        encoded = encode_state(live)
+                        io_started = time.perf_counter()
+                        store.put(key, ordinal, encoded, self.config.label())
+                        writes += 1
+                        if timer is not None:
+                            timer.add(
+                                "store_io", time.perf_counter() - io_started
+                            )
                     measure_started = time.perf_counter()
                     span_from = tracer.wall_ts() if tracer is not None else 0.0
-                    system = materialise(interval, entry_state)
-                except ConfigurationError:
-                    # A damaged or foreign entry is a miss, like corrupt
-                    # JSON in the store: re-warm and let the put below
-                    # heal it.
-                    system = None
+                    # The measurement machine adopts a copy; the warming
+                    # machine keeps its own tables and walks on from here.
+                    system = materialise(interval, live.copy())
+                if tracer is not None:
+                    tracer.wall_span(
+                        "materialise",
+                        cat="sampling",
+                        started_ts=span_from,
+                        args={"interval": position, "ordinal": ordinal},
+                    )
+                    span_from = tracer.wall_ts()
+                try:
+                    result = SystemSimulator(
+                        system, cycle_skip=self.cycle_skip
+                    ).run(max_cycles)
+                finally:
+                    system.release()
+                if timer is not None:
+                    timer.add(
+                        "measurement", time.perf_counter() - measure_started
+                    )
+                if tracer is not None:
+                    tracer.wall_span(
+                        "measure",
+                        cat="sampling",
+                        started_ts=span_from,
+                        args={
+                            "interval": position,
+                            "ordinal": ordinal,
+                            "cycles": result.cycles,
+                        },
+                    )
+                if interval.exhaustive:
+                    exhaustive.append(result)
                 else:
-                    hits += 1
-                    pending_restore = payload
-                    walk_cursor = position
-            if system is None:
-                misses += 1
-                ensure_warming_through(position)
-                live = warming.capture_warm_state()
-                if store is not None:
-                    encoded = encode_state(live)
-                    io_started = time.perf_counter()
-                    store.put(key, ordinal, encoded, self.config.label())
-                    writes += 1
-                    if timer is not None:
-                        timer.add(
-                            "store_io", time.perf_counter() - io_started
-                        )
-                measure_started = time.perf_counter()
-                span_from = tracer.wall_ts() if tracer is not None else 0.0
-                # The measurement machine adopts a copy; the warming
-                # machine keeps its own tables and walks on from here.
-                system = materialise(interval, live.copy())
-            if tracer is not None:
-                tracer.wall_span(
-                    "materialise",
-                    cat="sampling",
-                    started_ts=span_from,
-                    args={"interval": position, "ordinal": ordinal},
-                )
-                span_from = tracer.wall_ts()
-            result = SystemSimulator(
-                system, cycle_skip=self.cycle_skip
-            ).run(max_cycles)
-            if timer is not None:
-                timer.add(
-                    "measurement", time.perf_counter() - measure_started
-                )
-            if tracer is not None:
-                tracer.wall_span(
-                    "measure",
-                    cat="sampling",
-                    started_ts=span_from,
-                    args={
-                        "interval": position,
-                        "ordinal": ordinal,
-                        "cycles": result.cycles,
-                    },
-                )
-            if interval.exhaustive:
-                exhaustive.append(result)
-            else:
-                sampled.append((interval, result))
+                    sampled.append((interval, result))
+        finally:
+            if warming is not None:
+                warming.release()
 
         sampled_results = [result for _, result in sampled]
         sampled_instructions = sum(
@@ -642,7 +655,7 @@ class SampledSimulator:
     def _metrics_payload(
         self,
         interval_payloads: list,
-        intervals: list[Interval],
+        intervals: tuple[Interval, ...],
         timer: PhaseTimer,
         counters: dict[str, int] | None,
     ) -> list[dict]:
@@ -672,7 +685,7 @@ class SampledSimulator:
 
     def _payload(
         self,
-        intervals: list[Interval],
+        intervals: tuple[Interval, ...],
         measured: list[SimulationResult],
         errors: dict[str, float | None],
         exact: bool,

@@ -223,7 +223,9 @@ def _plan_segments(
     return merged
 
 
-def slice_traces(traces: TraceSet, plan: SamplingPlan) -> list[Interval]:
+def slice_traces(
+    traces: TraceSet, plan: SamplingPlan
+) -> tuple[Interval, ...]:
     """Slice a trace set into sampling intervals under ``plan``.
 
     Returns intervals in trace order whose spans tile every thread's
@@ -231,7 +233,30 @@ def slice_traces(traces: TraceSet, plan: SamplingPlan) -> list[Interval]:
     event sequence (never the case for synthesized benchmarks) are not
     sliceable and come back as one full ``DETAIL`` interval, which the
     sampled simulator treats as an exact run.
+
+    Slicing is a pure function of the records and the plan, and a
+    timing sweep slices the same trace set once per design point, so
+    the result is memoised on the set by :meth:`SamplingPlan.spec`, the
+    way :func:`~repro.trace.fingerprint.trace_fingerprint` keeps its
+    digest (slotted sets skip the memo). The memo hands every caller
+    the same tuple of frozen intervals, which no caller can edit.
     """
+    memo = getattr(traces, "_slices", None)
+    spec = plan.spec()
+    if memo is not None and spec in memo:
+        return memo[spec]
+    intervals = tuple(_slice_traces(traces, plan))
+    if memo is None:
+        memo = {}
+        try:
+            traces._slices = memo
+        except AttributeError:  # slotted trace sets: skip the memo
+            return intervals
+    memo[spec] = intervals
+    return intervals
+
+
+def _slice_traces(traces: TraceSet, plan: SamplingPlan) -> list[Interval]:
     signature = _global_event_signature(traces)
     if signature is None:
         return [_full_interval(traces, IntervalKind.DETAIL)]

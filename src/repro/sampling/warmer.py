@@ -147,8 +147,9 @@ def lru_walk(
 
     :func:`scalar_walk` for a core with an LRU L1I and a stock gshare,
     over the structures' raw tables: per line the iTLB, the line
-    buffers and the LRU L1I/L2 (order lists materialized lazily, as
-    :class:`~repro.cache.replacement.LruPolicy` does); per block the
+    buffers and the LRU L1I/L2 (a set's tag row and recency order
+    created on its first fill, as the cache and
+    :class:`~repro.cache.replacement.LruPolicy` do); per block the
     gshare, loop-predictor and BTB updates. Every table is bound to a
     local once per span and the scalar structures' clocks, history and
     line-buffer entries are written back at the end.
@@ -163,13 +164,17 @@ def lru_walk(
     lb_range = range(len(lb_lines))
     lb_uses_get = lb_uses.__getitem__
     l1_tags = l1._tags
+    l1_tags_get = l1_tags.get
     l1_order = l1._policy._order
+    l1_order_get = l1_order.get
     l1_ways = l1.ways
     l1_shift = l1._line_shift
     l1_set_mask = l1._set_mask
     l1_seen = l1.stats._seen_lines
     l2_tags = l2._tags
+    l2_tags_get = l2_tags.get
     l2_order = l2._policy._order
+    l2_order_get = l2_order.get
     l2_ways = l2.ways
     l2_shift = l2._line_shift
     l2_set_mask = l2._set_mask
@@ -229,58 +234,52 @@ def lru_walk(
                 lb_lines[victim] = line
                 lb_uses[victim] = lb_clock
                 set_index = (line >> l1_shift) & l1_set_mask
-                row = l1_tags[set_index]
-                try:
-                    way = row.index(line)
-                    hit = True
-                except ValueError:
+                row = l1_tags_get(set_index)
+                if row is None:
+                    l1_tags[set_index] = [line]
+                    way = 0
                     hit = False
-                if hit:
-                    order = l1_order[set_index]
-                    if order is None:
-                        order = list(range(l1_ways))
-                        l1_order[set_index] = order
-                    order.remove(way)
-                    order.append(way)
                 else:
                     try:
-                        way = row.index(None)
+                        way = row.index(line)
+                        hit = True
                     except ValueError:
-                        order = l1_order[set_index]
-                        if order is None:
-                            order = list(range(l1_ways))
-                            l1_order[set_index] = order
-                        way = order[0]
+                        hit = False
+                        way = len(row)
+                        if way < l1_ways:
+                            row.append(line)
+                order = l1_order_get(set_index)
+                if order is None:
+                    order = list(range(l1_ways))
+                    l1_order[set_index] = order
+                if way == l1_ways:
+                    way = order[0]
                     row[way] = line
-                    order = l1_order[set_index]
-                    if order is None:
-                        order = list(range(l1_ways))
-                        l1_order[set_index] = order
-                    order.remove(way)
-                    order.append(way)
+                order.remove(way)
+                order.append(way)
+                if not hit:
                     l1_seen.add(line)
                     l2_set = (line >> l2_shift) & l2_set_mask
-                    l2_row = l2_tags[l2_set]
-                    try:
-                        l2_way = l2_row.index(line)
-                        l2_hit = True
-                    except ValueError:
-                        l2_hit = False
-                    if not l2_hit:
-                        try:
-                            l2_way = l2_row.index(None)
-                        except ValueError:
-                            order = l2_order[l2_set]
-                            if order is None:
-                                order = list(range(l2_ways))
-                                l2_order[l2_set] = order
-                            l2_way = order[0]
-                        l2_row[l2_way] = line
+                    l2_row = l2_tags_get(l2_set)
+                    if l2_row is None:
+                        l2_tags[l2_set] = [line]
+                        l2_way = 0
                         l2_seen.add(line)
-                    order = l2_order[l2_set]
+                    else:
+                        try:
+                            l2_way = l2_row.index(line)
+                        except ValueError:
+                            l2_way = len(l2_row)
+                            if l2_way < l2_ways:
+                                l2_row.append(line)
+                            l2_seen.add(line)
+                    order = l2_order_get(l2_set)
                     if order is None:
                         order = list(range(l2_ways))
                         l2_order[l2_set] = order
+                    if l2_way == l2_ways:
+                        l2_way = order[0]
+                        l2_row[l2_way] = line
                     order.remove(l2_way)
                     order.append(l2_way)
             line += line_bytes

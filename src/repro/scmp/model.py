@@ -70,10 +70,8 @@ class ScmpModel:
             **overrides,
         )
 
-    def build_system(
-        self, config: ScmpConfig, traces: TraceSet, *, hollow: bool = False
-    ) -> ScmpSystem:
-        return ScmpSystem(config, traces, hollow=hollow)
+    def build_system(self, config: ScmpConfig, traces: TraceSet) -> ScmpSystem:
+        return ScmpSystem(config, traces)
 
     def build_topology(self, config: ScmpConfig):
         from repro.scmp.topology import build_topology

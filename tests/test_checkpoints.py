@@ -18,6 +18,7 @@ import json
 import os
 import random
 import time
+import tracemalloc
 import zlib
 from dataclasses import replace
 
@@ -31,8 +32,10 @@ from repro.machine.system import warm_shape_digest
 from repro.sampling import (
     BatchedWarmer,
     CheckpointKey,
+    Checkpointing,
     CheckpointStore,
     SamplingPlan,
+    simulate_sampled,
     trace_fingerprint,
 )
 from repro.sampling.checkpoints import (
@@ -572,6 +575,29 @@ class TestDecoderBounds:
         with pytest.raises(ConfigurationError, match="two-byte way index"):
             _decode_cache(cache)
 
+    def test_declared_geometry_costs_only_its_per_set_tables(self):
+        """Half a kilobyte declaring 4096 sets of 4096 ways, every table
+        empty, decodes to empty rows: nothing is allocated per way of a
+        set that holds no line (a dense tag array would be 128 MB)."""
+        sets = ways = 4096
+        record = json.loads(json.dumps({
+            **_cache(
+                sets=sets,
+                ways=ways,
+                policy=_lru([], touched=[0] * sets, ways=ways),
+            ),
+            "filled": _pack("u16", [0] * sets),
+        }))
+        assert len(json.dumps(record)) < 1024
+        tracemalloc.start()
+        try:
+            decoded = _decode_cache(record)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert decoded["tags"] == {} and decoded["policy"] == {}
+
     def test_number_that_overflows_is_a_damaged_payload(self):
         payload = encode_state(_small_state())
         payload["predictors"][0]["direction"]["history"] = float("inf")
@@ -590,9 +616,9 @@ class TestDecoderBounds:
         lru = _lru([3, 0, 2, 1], touched=(0, 1), ways=4)
         plru = {"policy": "plru", "rows": _pack("u8", [1, 0, 1, 0, 0, 0])}
         fifo = {"policy": "fifo", "pointers": _pack("u8", [3, 0])}
-        assert _decode_cache(_cache(policy=lru, ways=4))["policy"] == [
-            None, [3, 0, 2, 1],
-        ]
+        assert _decode_cache(_cache(policy=lru, ways=4))["policy"] == {
+            1: [3, 0, 2, 1],
+        }
         assert _decode_cache(_cache(policy=plru, ways=4))["policy"] == [
             [1, 0, 1], [0, 0, 0],
         ]
@@ -604,7 +630,7 @@ class TestDecoderBounds:
             "counters": bytearray([0, 2, 2, 3]), "history": 3,
         }
         tags = _decode_cache(_cache(filled=(0, 1), lines=[64]))["tags"]
-        assert tags == [[None, None], [64, None]]
+        assert tags == {1: [64]}
 
     @pytest.mark.parametrize("policy", ["lru", "fifo", "plru"])
     def test_cache_past_255_ways_round_trips(self, policy):
@@ -653,6 +679,28 @@ class TestDecoderBounds:
         decoded = decode_state(json.loads(json.dumps(payload)))
         assert decoded.to_dict() == state.to_dict()
         assert json.dumps(encode_state(decoded)) == json.dumps(payload)
+
+
+@pytest.mark.parametrize("machine", ["acmp", "scmp"])
+def test_every_entry_of_a_fresh_tree_re_encodes_to_itself(machine, tmp_path):
+    """``encode_state(decode_state(p)) == p`` for every entry a cold run
+    writes: the sparse decode loses nothing the dense layout stored."""
+    config = get_model(machine).shared_config(
+        itlb_enabled=True, shared_itlb=True
+    )
+    traces = synthesize_benchmark(
+        "UA", thread_count=config.core_count, scale=0.2
+    )
+    store = CheckpointStore(tmp_path)
+    simulate_sampled(
+        config, traces, TINY_PLAN,
+        checkpoints=Checkpointing(store=store, seed=0, scale=0.2),
+    )
+    entries = store.entry_paths()
+    assert len(entries) >= 2
+    for path in entries:
+        payload = json.loads(path.read_text())["state"]
+        assert encode_state(decode_state(payload)) == payload, path.name
 
 
 def _small_state():

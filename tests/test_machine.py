@@ -4,11 +4,14 @@ Covers the registry (lookup, config-type resolution, duplicate
 protection), the symmetric-CMP model's topology and serial-IPC replay
 scaling, serialization round-trips for every registered model with
 cross-model rejection, the machine/engine-aware result store (legacy
-acmp entries included), campaign sharding, and the interconnect
-busy-cycle batching.
+acmp entries included), campaign sharding, the interconnect busy-cycle
+batching, and that a finished machine is freed without the cyclic
+garbage collector.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -33,6 +36,14 @@ from repro.machine import (
     simulate,
 )
 from repro.machine.simulator import SystemSimulator
+from repro.machine.system import System
+from repro.sampling import (
+    Checkpointing,
+    CheckpointStore,
+    SamplingPlan,
+    simulate_sampled,
+)
+from repro.sampling import simulator as sampling_simulator
 from repro.scmp import ScmpConfig, banked_config, private_config
 from repro.scmp.topology import build_topology
 from repro.trace.records import IpcRecord, SyncKind, SyncRecord
@@ -377,3 +388,102 @@ class TestBusyBatching:
         simulator = self._simulator(worker_shared_config())
         simulator.run()
         assert simulator.kernel.stats.interconnect_busy_batched > 0
+
+
+#: One private, one shared-everything and one banked design point: the
+#: ICOUNT urgency closure, the crossbar and a shared iTLB each add
+#: wiring that must not keep a finished machine alive.
+_RELEASE_POINTS = [
+    baseline_config(),
+    worker_shared_config(
+        cores_per_cache=8,
+        arbitration="icount",
+        interconnect="crossbar",
+        itlb_enabled=True,
+        shared_itlb=True,
+    ),
+    banked_config(),
+]
+
+
+class TestRelease:
+    """Every machine a run builds is freed by reference counting when
+    the run returns: with the cyclic collector off, no weak reference to
+    one survives the call, and no part of one is left for the collector
+    to find."""
+
+    @pytest.fixture
+    def machines(self, monkeypatch):
+        built = []
+        build = System.__init__
+
+        def tracked(system, *args, **kwargs):
+            build(system, *args, **kwargs)
+            built.append(weakref.ref(system))
+
+        monkeypatch.setattr(System, "__init__", tracked)
+        return built
+
+    @staticmethod
+    def _leaks(run, machines):
+        """The machines still alive when ``run()`` returns, and the
+        types of the ``repro`` objects only the cyclic collector would
+        free, read before the collector is back on."""
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            run()
+            alive = [ref for ref in machines if ref() is not None]
+            gc.collect()
+            cyclic = {
+                type(item).__name__
+                for item in gc.garbage
+                if type(item).__module__.startswith("repro.")
+            }
+            return alive, cyclic
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "config", _RELEASE_POINTS, ids=["baseline", "icount-xbar-itlb", "scmp"]
+    )
+    def test_simulate_frees_its_machine(self, config, machines):
+        traces = synthesize_benchmark(
+            "UA", thread_count=config.core_count, scale=0.05
+        )
+        leaks = self._leaks(lambda: simulate(config, traces), machines)
+        assert len(machines) == 1
+        assert leaks == ([], set())
+
+    @pytest.mark.parametrize(
+        "config", _RELEASE_POINTS, ids=["baseline", "icount-xbar-itlb", "scmp"]
+    )
+    def test_sampled_run_frees_its_machines(
+        self, config, machines, monkeypatch, tmp_path
+    ):
+        """A cold run builds the warming machine, a measurement machine
+        per interval and the two transient probes; a rerun served from
+        its checkpoints builds measurement machines only."""
+        monkeypatch.setattr(sampling_simulator, "_TRANSIENT_MEMO", {})
+        plan = SamplingPlan(
+            detail_instructions=2_000,
+            skip_instructions=6_000,
+            warmup_instructions=6_000,
+        )
+        policy = Checkpointing(
+            store=CheckpointStore(tmp_path), seed=0, scale=0.2
+        )
+        traces = synthesize_benchmark(
+            "UA", thread_count=config.core_count, scale=0.2
+        )
+
+        def cold_then_hit():
+            for _ in range(2):
+                simulate_sampled(config, traces, plan, checkpoints=policy)
+
+        leaks = self._leaks(cold_then_hit, machines)
+        assert len(machines) > 4
+        assert leaks == ([], set())

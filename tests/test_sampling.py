@@ -176,6 +176,22 @@ class TestSlicing:
             traces, TINY_PLAN
         )
 
+    def test_slicing_is_memoised_per_trace_set_and_plan(self):
+        """A trace set slices once per plan: the memo's answer equals a
+        fresh slice of equal records, repeats of a plan get the same
+        tuple, and another plan gets its own entry."""
+        traces = synthesize_benchmark("UA", thread_count=5, scale=0.3)
+        intervals = slice_traces(traces, TINY_PLAN)
+        assert type(intervals) is tuple
+        fresh = synthesize_benchmark("UA", thread_count=5, scale=0.3)
+        assert intervals == slice_traces(fresh, TINY_PLAN)
+        assert slice_traces(traces, TINY_PLAN) is intervals
+        rotated = SamplingPlan(2_000, 6_000, 6_000, seed=1)
+        other = slice_traces(traces, rotated)
+        assert other != intervals
+        assert slice_traces(traces, rotated) is other
+        assert slice_traces(traces, TINY_PLAN) is intervals
+
     def test_serial_windows_are_exhaustive_detail(self):
         traces = synthesize_benchmark("CoMD", thread_count=5, scale=0.3)
         intervals = slice_traces(traces, TINY_PLAN)
@@ -325,7 +341,10 @@ class TestWarmState:
             table[index] ^= 1
 
         def filled(rows):
-            """The first row whose first cell holds a value."""
+            """The first row whose first cell holds a value (a sparse
+            table's rows are its values)."""
+            if isinstance(rows, dict):
+                rows = rows.values()
             return next(row for row in rows if row and row[0] is not None)
 
         l1, l2 = copy.groups[0]["icache"], copy.groups[0]["l2"]
@@ -376,6 +395,18 @@ class TestWarmState:
                 core.frontend.predictor.direction._counters, bytearray
             )
         assert fresh.capture_warm_state().to_dict() == rendered
+
+    def test_dense_row_with_an_invalid_way_before_a_line_is_rejected(self):
+        """Rows fill from their first way, so a dense row whose line
+        follows an invalid way was not rendered by ``to_dict``: reading
+        it back as a shorter sparse row would shift the line's way."""
+        _, _, system = _warmed_system("acmp", baseline_config())
+        rendered = system.capture_warm_state().to_dict()
+        tags = rendered["groups"][0]["icache"]["tags"]
+        row = next(row for row in tags if row[0] is not None)
+        row[:2] = [None, row[0]]
+        with pytest.raises(ConfigurationError, match="invalid way"):
+            WarmState.from_dict(rendered)
 
     def test_restore_rejects_other_machine(self):
         acmp_model, traces, system = _warmed_system("acmp", baseline_config())

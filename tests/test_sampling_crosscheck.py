@@ -19,6 +19,7 @@ import json
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.machine.model import get_model
 from repro.machine.serialization import result_to_dict
 from repro.machine.simulator import simulate
@@ -144,6 +145,32 @@ def _assert_damage_heals(
     assert damaged.read_bytes() == original
 
 
+def _row_past_the_last_set(cache):
+    """A line in the first set past the cache's, the record declaring
+    twice its sets."""
+    cache["tags"][cache["sets"]] = [0]
+    cache["sets"] *= 2
+
+
+def _row_past_the_last_way(cache):
+    """A row one line longer than the cache's ways, the record declaring
+    that many ways and no touched set (no LRU order is out of shape)."""
+    ways = cache["ways"] + 1
+    cache["tags"][min(cache["tags"], default=0)] = [
+        64 * line for line in range(ways)
+    ]
+    cache["ways"] = ways
+    cache["policy"] = {}
+
+
+def _order_past_the_last_way(cache):
+    """LRU orders over one way more than the cache has, the record
+    declaring that many ways (every row still fits)."""
+    ways = cache["ways"] + 1
+    cache["ways"] = ways
+    cache["policy"] = {index: list(range(ways)) for index in cache["policy"]}
+
+
 class TestCheckpointResume:
     """Checkpoint-seeded warming reproduces straight-through warming."""
 
@@ -239,7 +266,7 @@ class TestCheckpointResume:
 
         def damage(warm):
             for group in warm.groups:
-                rows = [row for row in group["l2"]["policy"] if row]
+                rows = list(group["l2"]["policy"].values())
                 assert rows, "the L2 holds touched sets"
                 for row in rows:
                     row[:] = [row[0]] * len(row)
@@ -267,9 +294,8 @@ class TestCheckpointResume:
         def damage(warm):
             for group in warm.groups:
                 order = group["icache"]["policy"]
-                for index, row in enumerate(order):
-                    if row is not None:
-                        order[index] = [0] * (len(row) - 1)
+                for index, row in order.items():
+                    order[index] = [0] * (len(row) - 1)
 
         _assert_damage_heals(
             tmp_path,
@@ -287,14 +313,46 @@ class TestCheckpointResume:
         def damage(warm):
             icache = warm.groups[0]["icache"]
             icache["replacement"] = "plru"
-            icache["policy"] = [[0] * (len(icache["tags"][0]) - 1)] * len(
-                icache["tags"]
-            )
+            icache["policy"] = [[0] * (icache["ways"] - 1)] * icache["sets"]
             warm.predictors[0]["direction"]["counters"].append(2)
 
         _assert_damage_heals(
             tmp_path, get_model("acmp").shared_config(), _recoded(damage)
         )
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            _row_past_the_last_set,
+            _row_past_the_last_way,
+            _order_past_the_last_way,
+        ],
+        ids=["set-past-end", "row-past-ways", "order-past-ways"],
+    )
+    def test_rows_that_do_not_fit_the_cache_are_a_miss_and_heal(
+        self, damage, tmp_path
+    ):
+        """An L1I row at a set index the cache lacks, or a row or LRU
+        order longer than its ways, under a geometry the record declares
+        to match: the entry decodes, its restore is refused, and the run
+        counts it as a miss that heals."""
+        config = get_model("acmp").shared_config()
+
+        def mutate(warm):
+            damage(warm.groups[0]["icache"])
+
+        _assert_damage_heals(tmp_path, config, _recoded(mutate))
+        entries = sorted(
+            (tmp_path / "checkpoints").glob("*/*/*/*/*/detail*.json")
+        )
+        state = json.loads(entries[len(entries) // 2].read_text())["state"]
+        _recoded(mutate)(state)
+        traces = synthesize_benchmark(
+            "UA", thread_count=config.core_count, scale=0.2
+        )
+        system = get_model("acmp").build_system(config, traces)
+        with pytest.raises(ConfigurationError, match="does not fit"):
+            system.restore_warm_state(decode_state(state))
 
     def test_resume_over_a_sparse_layout_entry_rewrites_it(self, tmp_path):
         """An entry in the sparse-list layout stores wrote before states
