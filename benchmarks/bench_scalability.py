@@ -230,6 +230,10 @@ def test_emit_campaign_timing(tmp_path):
         simulator = AcmpSimulator(system)
         simulator.run()
         stats = simulator.kernel.stats
+        metrics = {
+            metric.name: metric.value
+            for metric in simulator.run_metrics().select("kernel.")
+        }
         total_steps = stats.component_steps + stats.component_steps_avoided
         kernel_skip.append(
             {
@@ -245,9 +249,14 @@ def test_emit_campaign_timing(tmp_path):
                     stats.component_steps_avoided / max(1, total_steps), 4
                 ),
                 "wakes": stats.wakes,
-                "interconnect_busy_batched": stats.interconnect_busy_batched,
-                "commit_cycles_batched": stats.commit_cycles_batched,
-                "redirect_cycles_batched": stats.redirect_cycles_batched,
+                **{
+                    name: metrics["kernel." + name]
+                    for name in (
+                        "interconnect_busy_batched",
+                        "commit_cycles_batched",
+                        "redirect_cycles_batched",
+                    )
+                },
             }
         )
     kernel_stats = kernel_skip[0]
@@ -428,7 +437,7 @@ def test_emit_campaign_timing(tmp_path):
 
     corpus_dir = tmp_path / "trace-corpus"
     started = time.perf_counter()
-    write_trace_set(probe_traces, corpus_dir, chunked=True)
+    write_trace_set(probe_traces, corpus_dir)
     encode_s = time.perf_counter() - started
 
     ingest_times, ingest_results = cpu_interleaved(

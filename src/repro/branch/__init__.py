@@ -1,23 +1,17 @@
-"""Branch prediction: gshare + loop predictor (Table I), plus ablation parts."""
+"""Branch prediction: gshare + loop predictor + BTB (Table I)."""
 
-from repro.branch.base import DirectionPredictor, PredictorStats, saturating_update
-from repro.branch.bimodal import BimodalPredictor
 from repro.branch.btb import BranchTargetBuffer, BtbStats
 from repro.branch.fetch_predictor import FetchPredictor, FetchPredictorStats
-from repro.branch.gshare import GsharePredictor
+from repro.branch.gshare import GsharePredictor, PredictorStats, saturating_update
 from repro.branch.loop import LoopPredictor
-from repro.branch.tournament import TournamentPredictor
 
 __all__ = [
-    "DirectionPredictor",
     "PredictorStats",
     "saturating_update",
-    "BimodalPredictor",
     "BranchTargetBuffer",
     "BtbStats",
     "FetchPredictor",
     "FetchPredictorStats",
     "GsharePredictor",
     "LoopPredictor",
-    "TournamentPredictor",
 ]

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.branch.base import DirectionPredictor, PredictorStats
 from repro.branch.btb import BranchTargetBuffer
-from repro.branch.gshare import GsharePredictor
+from repro.branch.gshare import GsharePredictor, PredictorStats
 from repro.branch.loop import LoopPredictor
 from repro.trace.records import BranchKind, BranchOutcome
 
@@ -40,7 +39,7 @@ class FetchPredictor:
 
     def __init__(
         self,
-        direction: DirectionPredictor | None = None,
+        direction: GsharePredictor | None = None,
         loop: LoopPredictor | None = None,
         btb: BranchTargetBuffer | None = None,
     ) -> None:

@@ -2,11 +2,27 @@
 
 from __future__ import annotations
 
-from repro.branch.base import DirectionPredictor, saturating_update
+from dataclasses import dataclass
+
 from repro.utils import log2_int, require_power_of_two
 
 
-class GsharePredictor(DirectionPredictor):
+@dataclass
+class PredictorStats:
+    """Conditional-branch prediction accounting."""
+
+    lookups: int = 0
+    mispredictions: int = 0
+
+
+def saturating_update(counter: int, taken: bool, maximum: int = 3) -> int:
+    """Advance a saturating counter (0..maximum) towards the outcome."""
+    if taken:
+        return min(maximum, counter + 1)
+    return max(0, counter - 1)
+
+
+class GsharePredictor:
     """Global-history predictor XOR-indexing a 2-bit counter table.
 
     A 16 KB budget holds 64 Ki 2-bit counters, indexed by
@@ -14,9 +30,9 @@ class GsharePredictor(DirectionPredictor):
     """
 
     def __init__(self, size_bytes: int = 16 * 1024) -> None:
-        super().__init__()
         require_power_of_two(size_bytes, "gshare size_bytes")
         entries = size_bytes * 4  # 2-bit counters, four per byte
+        self.stats = PredictorStats()
         self._entries = entries
         self._mask = entries - 1
         self._history_bits = log2_int(entries)
@@ -35,9 +51,11 @@ class GsharePredictor(DirectionPredictor):
         return ((address >> self._index_shift) ^ self._history) & self._mask
 
     def predict(self, address: int) -> bool:
+        """Predicted direction for the branch at ``address``."""
         return self._counters[self._index(address)] >= 2
 
     def update(self, address: int, taken: bool) -> None:
+        """Train with the resolved outcome."""
         index = self._index(address)
         self._counters[index] = saturating_update(self._counters[index], taken)
         self._history = ((self._history << 1) | int(taken)) & self._mask
@@ -49,16 +67,9 @@ class GsharePredictor(DirectionPredictor):
         return {"counters": self._counters, "history": self._history}
 
     def load_warm_state(self, state) -> None:
-        """Adopt a snapshot; a ``bytearray`` table is shared, not copied.
-
-        Any other sequence (the list :meth:`WarmState.from_dict
-        <repro.machine.warm.WarmState.from_dict>` rebuilds) is converted
-        once, which rejects counter values outside 0..255.
-        """
+        """Adopt a snapshot; its ``bytearray`` table is shared, not
+        copied."""
         counters = state["counters"]
-        if not isinstance(counters, bytearray):
-            # iter(): bytearray(n) of a bare int would build n zeros.
-            counters = bytearray(iter(counters))
         if len(counters) != self._entries:
             raise ValueError(
                 f"gshare snapshot has {len(counters)} counters, "

@@ -9,7 +9,6 @@ structure.
 
 from __future__ import annotations
 
-from repro.branch.base import DirectionPredictor
 from repro.utils import require_power_of_two
 
 #: Confidence threshold before the loop predictor overrides the gshare.
@@ -17,7 +16,7 @@ CONFIDENT = 2
 _CONFIDENCE_MAX = 3
 
 
-class LoopPredictor(DirectionPredictor):
+class LoopPredictor:
     """Direct-mapped, tagged loop-termination predictor.
 
     Entry fields live in parallel flat lists (tag / learned trip count /
@@ -27,7 +26,6 @@ class LoopPredictor(DirectionPredictor):
     """
 
     def __init__(self, entries: int = 256) -> None:
-        super().__init__()
         require_power_of_two(entries, "loop predictor entries")
         self._mask = entries - 1
         self._tags = [-1] * entries
@@ -36,14 +34,8 @@ class LoopPredictor(DirectionPredictor):
         self._confidences = [0] * entries
         self._index_shift = 2
 
-    def _index(self, address: int) -> int:
-        return (address >> self._index_shift) & self._mask
-
-    def _tag(self, address: int) -> int:
-        return address >> self._index_shift
-
     def confident(self, address: int) -> bool:
-        """True when this predictor should override the direction predictor."""
+        """True when this predictor should override the gshare."""
         # The tag is the index's unmasked form: one shift serves both.
         tag = address >> self._index_shift
         index = tag & self._mask

@@ -41,7 +41,7 @@ class ReplacementPolicy(abc.ABC):
     # -- warm-state checkpoints --------------------------------------------
 
     def warm_state(self) -> object | None:
-        """JSON-ready snapshot of the replacement state, or ``None``.
+        """Snapshot of the replacement state, or ``None``.
 
         Policies without snapshot support (e.g. the seeded random
         policy) return ``None``; a restored cache then starts with

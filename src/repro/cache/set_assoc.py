@@ -179,8 +179,7 @@ class SetAssociativeCache:
         :meth:`load_warm_state`. An in-process hand-off that must not
         couple two caches goes through
         :meth:`repro.machine.warm.WarmState.copy` (C-level list and set
-        copies); :meth:`~repro.machine.warm.WarmState.to_dict`, which
-        deep-copies into JSON primitives, stays the form tests compare.
+        copies).
         """
         return {
             "sets": self.set_count,
@@ -215,12 +214,7 @@ class SetAssociativeCache:
             )
         self._tags = tags
         self._policy.load_warm_state(state["policy"])
-        # Adopt live sets by reference (like the tag tables); JSON
-        # round trips hand back lists, which need the one-time rebuild.
-        seen = state["seen"]
-        self.stats._seen_lines = (
-            seen if isinstance(seen, set) else set(seen)
-        )
+        self.stats._seen_lines = state["seen"]
 
     def invalidate_all(self) -> None:
         """Drop every line (replacement state is left as-is)."""

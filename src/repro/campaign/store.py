@@ -43,11 +43,7 @@ from pathlib import Path
 from repro.campaign.spec import RunKey, RunSpec
 from repro.errors import ConfigurationError, SimulationError
 from repro.machine.results import SimulationResult
-from repro.machine.serialization import (
-    _LEGACY_MACHINE,
-    result_from_dict,
-    result_to_dict,
-)
+from repro.machine.serialization import result_from_dict, result_to_dict
 from repro.obs.recorder import metrics_registry as _active_metrics
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9._=-]+")
@@ -80,7 +76,7 @@ def _entry_identity(entry: dict) -> tuple[RunKey, tuple[str, str]]:
     silently desynchronize them.
     """
     key: RunKey = (
-        str(entry.get("machine", _LEGACY_MACHINE)),
+        str(entry.get("machine", "")),
         str(entry.get("benchmark", "")),
         str(entry.get("label", "")),
         int(entry.get("seed", 0)),
@@ -365,9 +361,10 @@ class ResultStore:
         Entries whose run has since landed in the store are skipped, so
         the manifest stays accurate without ever rewriting the
         append-only journal (several hosts may be appending to it
-        concurrently over one shared tree). Entries whose machine model
-        or configuration cannot be rebuilt (e.g. written by a newer
-        version) are skipped rather than aborting the resume.
+        concurrently over one shared tree). Entries without a machine,
+        or whose machine model or configuration cannot be rebuilt (e.g.
+        written by a newer version), are skipped rather than aborting
+        the resume.
         """
         from repro.machine.model import get_model
 
@@ -375,7 +372,7 @@ class ResultStore:
         seen: set[tuple[RunKey, tuple[str, str]]] = set()
         for entry in self.journalled_failures():
             try:
-                model = get_model(entry.get("machine", _LEGACY_MACHINE))
+                model = get_model(entry["machine"])
                 config = model.config_type(**entry["config"])
                 spec = RunSpec(
                     benchmark=entry["benchmark"],

@@ -92,19 +92,6 @@ class KernelStats:
     component_steps_avoided: int = 0
     #: Transitions from asleep back into the ready set.
     wakes: int = 0
-    #: Interconnect busy-only steps replaced by one batched settlement
-    #: (a sleeping interconnect component charging a whole transfer
-    #: window at once); aggregated by the simulator after the run.
-    interconnect_busy_batched: int = 0
-    #: Back-end commit/pacing steps replaced by one batched commit
-    #: replay (a sleeping back-end settling a whole deterministic
-    #: commit window at once); aggregated by the simulator after the run.
-    commit_cycles_batched: int = 0
-    #: Redirect-penalty stall cycles replaced by one batched redirect
-    #: replay (a core sleeping across a mispredict drain + penalty and
-    #: settling the whole span at the fetch-resume cycle); aggregated
-    #: by the simulator after the run.
-    redirect_cycles_batched: int = 0
 
     @property
     def total_cycles(self) -> int:

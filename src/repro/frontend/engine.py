@@ -480,7 +480,3 @@ class FetchEngine:
         if piece.status is _UNISSUED:
             return "icache_latency"
         return "other"
-
-    @property
-    def ftq_occupancy(self) -> int:
-        return self._blocks

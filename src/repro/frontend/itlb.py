@@ -93,8 +93,8 @@ class InstructionTlb:
     # -- warm-state checkpoints --------------------------------------------
 
     def warm_state(self) -> dict:
-        """JSON-ready snapshot: resident translations plus the pages ever
-        seen (the compulsory-miss classifier)."""
+        """Snapshot: resident translations plus the pages ever seen (the
+        compulsory-miss classifier, passed by reference)."""
         return {
             "clock": self._clock,
             "pages": [
@@ -112,7 +112,5 @@ class InstructionTlb:
                 f"TLB has only {self.entries} entries"
             )
         self._translations = {page: last_use for page, last_use in pages}
-        # Adopt live sets by reference; JSON round trips hand back lists.
-        seen = state["seen"]
-        self._seen_pages = seen if isinstance(seen, set) else set(seen)
+        self._seen_pages = state["seen"]  # adopted by reference
         self._clock = int(state["clock"])

@@ -4,7 +4,7 @@ Everything machine-neutral that the per-machine packages
 (:mod:`repro.acmp`, :mod:`repro.scmp`) build on: the shared
 configuration substrate, cache-group topology dataclasses, the
 self-scheduling per-core unit and interconnect kernel components, the system assembly base class, the
-simulator driver, result records with JSON persistence, and the
+simulator driver, result records and their JSON form, and the
 :class:`MachineModel` protocol + registry that the campaign and
 experiment layers resolve machines through.
 """
@@ -19,14 +19,7 @@ from repro.machine.model import (
     register_model,
 )
 from repro.machine.results import CacheGroupResult, CoreResult, SimulationResult
-from repro.machine.serialization import (
-    load_result,
-    load_results,
-    result_from_dict,
-    result_to_dict,
-    save_result,
-    save_results,
-)
+from repro.machine.serialization import result_from_dict, result_to_dict
 from repro.machine.simulator import SystemSimulator, simulate
 from repro.machine.system import Core, System, scale_serial_ipc
 from repro.machine.topology import CacheGroup, Topology
@@ -45,15 +38,11 @@ __all__ = [
     "SystemSimulator",
     "Topology",
     "get_model",
-    "load_result",
-    "load_results",
     "model_for_config",
     "model_names",
     "register_model",
     "result_from_dict",
     "result_to_dict",
-    "save_result",
-    "save_results",
     "scale_serial_ipc",
     "simulate",
 ]

@@ -62,9 +62,9 @@ sleeping front-end. The sleep modes:
   cycle and the whole span settles in one batch, bounded by the same
   guards as commit replay (shared-ICOUNT observation disables it, the
   watchdog's firing horizon caps it, the front-end's own wake — iTLB
-  timers — cuts it short). The elided penalty stalls are surfaced
-  through :attr:`~repro.engine.kernel.KernelStats.
-  redirect_cycles_batched`.
+  timers — cuts it short). The unit counts the elided penalty stalls
+  in :attr:`CoreUnit.redirect_cycles_batched` (and the cycles commit
+  replay settles in :attr:`CoreUnit.commit_cycles_batched`).
 * **unit pacing sleep** — the queue is non-empty but the commit credit
   stays below 1.0 until a known cycle
   (:meth:`~repro.backend.backend.CommitEngine.cycles_to_next_commit`);
@@ -96,8 +96,13 @@ cycle except count itself busy, so the component sleeps across the
 known busy horizon (or indefinitely when no request is queued) and the
 elided busy cycles are charged in one step on wake-up — or at result
 collection for a transfer still draining at the end of the run. The
-count of busy steps elided this way is surfaced through
-:attr:`~repro.engine.kernel.KernelStats.interconnect_busy_batched`.
+component counts the busy steps elided this way in
+:attr:`GroupInterconnectComponent.busy_steps_batched`.
+
+These batched counters live only on the components that count them;
+:meth:`repro.machine.simulator.SystemSimulator.run_metrics` sums them
+into the ``kernel.*`` metrics beside the kernel's own
+:class:`~repro.engine.kernel.KernelStats`.
 """
 
 from __future__ import annotations

@@ -174,8 +174,3 @@ class SimulationResult:
 
     def total_bus_wait_cycles(self) -> int:
         return sum(group.bus_wait_cycles for group in self.cache_groups)
-
-    def shared_cache_accesses(self) -> int:
-        return sum(
-            group.accesses for group in self.cache_groups if group.shared
-        )

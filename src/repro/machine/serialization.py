@@ -1,27 +1,21 @@
-"""JSON persistence for simulation results, across machine models.
+"""The JSON form of simulation results, across machine models.
 
 Experiment campaigns (hundreds of design-point runs) need durable,
 diff-able outputs; this module round-trips :class:`SimulationResult`
-through plain JSON so sweeps can be resumed, archived and compared
-without re-simulating. Payloads carry the producing machine model's
-registry name; a loader expecting one model refuses another model's
-payload instead of silently mixing machines. Payloads written before
-the machine axis existed (no ``machine`` field) are read as ``acmp``,
-the only model that existed then.
+through plain JSON primitives, which the campaign's
+:class:`~repro.campaign.store.ResultStore` persists, so sweeps can be
+resumed, archived and compared without re-simulating. Payloads carry
+the producing machine model's registry name; a loader expecting one
+model refuses another model's payload instead of silently mixing
+machines.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 from repro.errors import SimulationError
 from repro.machine.results import CacheGroupResult, CoreResult, SimulationResult
 
 _FORMAT_VERSION = 1
-
-#: Machine name assumed for payloads written before the machine axis.
-_LEGACY_MACHINE = "acmp"
 
 
 def result_to_dict(result: SimulationResult) -> dict:
@@ -90,6 +84,9 @@ def result_to_dict(result: SimulationResult) -> dict:
 def result_from_dict(data: dict, expect_machine: str | None = None) -> SimulationResult:
     """Rebuild a result from :func:`result_to_dict` output.
 
+    Every field :func:`result_to_dict` writes is required (only
+    ``sampling`` is optional); a payload missing one is malformed.
+
     Args:
         expect_machine: when given, the payload must have been produced
             by this machine model; a payload from any other model is
@@ -102,28 +99,24 @@ def result_from_dict(data: dict, expect_machine: str | None = None) -> Simulatio
             f"unsupported result format version {version!r} "
             f"(expected {_FORMAT_VERSION})"
         )
-    machine = data.get("machine", _LEGACY_MACHINE)
-    if expect_machine is not None and machine != expect_machine:
-        raise SimulationError(
-            f"result payload was produced by machine model {machine!r}, "
-            f"not the expected {expect_machine!r}; results do not "
-            f"transfer between machine models"
-        )
     try:
+        machine = data["machine"]
+        if expect_machine is not None and machine != expect_machine:
+            raise SimulationError(
+                f"result payload was produced by machine model "
+                f"{machine!r}, not the expected {expect_machine!r}; "
+                f"results do not transfer between machine models"
+            )
         result = SimulationResult(
             benchmark=data["benchmark"],
             config_label=data["config_label"],
             cycles=data["cycles"],
-            dram_accesses=data.get("dram_accesses", 0),
-            lock_hand_offs=data.get("lock_hand_offs", 0),
+            dram_accesses=data["dram_accesses"],
+            lock_hand_offs=data["lock_hand_offs"],
             machine=machine,
             sampling=data.get("sampling"),
         )
         for core_data in data["cores"]:
-            core_data = dict(core_data)
-            # Fields added after format v1 payloads were first written.
-            core_data.setdefault("itlb_lookups", 0)
-            core_data.setdefault("itlb_misses", 0)
             result.cores.append(CoreResult(**core_data))
         for group_data in data["cache_groups"]:
             group_data = dict(group_data)
@@ -132,39 +125,3 @@ def result_from_dict(data: dict, expect_machine: str | None = None) -> Simulatio
     except (KeyError, TypeError) as exc:
         raise SimulationError(f"malformed result payload: {exc}") from exc
     return result
-
-
-def save_result(result: SimulationResult, path: str | Path) -> None:
-    """Write one result as pretty-printed JSON."""
-    Path(path).write_text(json.dumps(result_to_dict(result), indent=2) + "\n")
-
-
-def load_result(
-    path: str | Path, expect_machine: str | None = None
-) -> SimulationResult:
-    """Read a result written by :func:`save_result`."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SimulationError(f"{path} is not valid JSON: {exc}") from exc
-    return result_from_dict(data, expect_machine=expect_machine)
-
-
-def save_results(results: list[SimulationResult], path: str | Path) -> None:
-    """Write a whole campaign (list of results) as one JSON file."""
-    payload = {
-        "version": _FORMAT_VERSION,
-        "results": [result_to_dict(result) for result in results],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def load_results(path: str | Path) -> list[SimulationResult]:
-    """Read a campaign written by :func:`save_results`."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SimulationError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "results" not in data:
-        raise SimulationError(f"{path} is not a result campaign file")
-    return [result_from_dict(entry) for entry in data["results"]]

@@ -76,10 +76,7 @@ class SystemSimulator:
             DeadlockError: when no thread commits for a long window while
                 unfinished threads remain (protocol violation or bug).
         """
-        try:
-            cycles = self.kernel.run(max_cycles=max_cycles)
-        finally:
-            self._aggregate_stats()
+        cycles = self.kernel.run(max_cycles=max_cycles)
         result = self.system.collect_results(cycles)
         if self._metrics is not None:
             result.metrics = self.run_metrics().to_payload()
@@ -90,34 +87,36 @@ class SystemSimulator:
             tracer.cycle_offset = self.kernel._ts_base + cycles + 1
         return result
 
-    def _aggregate_stats(self) -> None:
-        """Fold the components' batched-accounting counters into the
-        kernel's flat :class:`~repro.engine.kernel.KernelStats`."""
-        self.kernel.stats.interconnect_busy_batched += sum(
-            component.busy_steps_batched
-            for component in self.system.interconnect_components
-        )
-        self.kernel.stats.commit_cycles_batched += sum(
-            unit.commit_cycles_batched for unit in self.system.core_units
-        )
-        self.kernel.stats.redirect_cycles_batched += sum(
-            unit.redirect_cycles_batched for unit in self.system.core_units
-        )
-
     def run_metrics(self) -> MetricsRegistry:
-        """The run's :class:`KernelStats` as labelled ``kernel.*``
-        counters (the structured successor of the flat stat bag; every
-        field is absorbed automatically)."""
+        """The run's counters as labelled ``kernel.*`` metrics: every
+        :class:`~repro.engine.kernel.KernelStats` field, then the
+        batched-accounting counters summed over the components that
+        keep them (:class:`~repro.machine.components.CoreUnit` and
+        :class:`~repro.machine.components.GroupInterconnectComponent`).
+        """
         registry = MetricsRegistry()
         labels = {
             "machine": self.system.machine_name,
             "engine": "skip" if self.kernel.cycle_skip else "step",
         }
         stats = self.kernel.stats
-        for field in _dataclass_fields(stats):
-            registry.counter("kernel." + field.name, **labels).inc(
-                getattr(stats, field.name)
-            )
+        units = self.system.core_units
+        counts = [
+            (field.name, getattr(stats, field.name))
+            for field in _dataclass_fields(stats)
+        ]
+        counts += [
+            ("interconnect_busy_batched", sum(
+                component.busy_steps_batched
+                for component in self.system.interconnect_components
+            )),
+            ("commit_cycles_batched",
+             sum(unit.commit_cycles_batched for unit in units)),
+            ("redirect_cycles_batched",
+             sum(unit.redirect_cycles_batched for unit in units)),
+        ]
+        for name, count in counts:
+            registry.counter("kernel." + name, **labels).inc(count)
         return registry
 
     # -- error context -----------------------------------------------------

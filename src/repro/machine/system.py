@@ -591,11 +591,12 @@ class System:
         return state
 
     def restore_warm_state(self, state: "WarmState") -> None:
-        """Install a warm-state snapshot captured on the same design point.
+        """Install a warm-state snapshot captured on the same warm shape.
 
         The target must be a freshly-built (or otherwise identically
-        shaped) system of the same machine model and configuration
-        label; structure shapes are validated as they are adopted.
+        shaped) system of the same machine model and warm-shape digest
+        (:meth:`warm_shape`); structure shapes are validated as they
+        are adopted.
         Shared predictors/iTLBs are restored once per unique structure,
         in the same discovery order capture used — identical wiring on
         both sides, since the configuration is identical.

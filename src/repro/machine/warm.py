@@ -20,17 +20,20 @@ gshare counters, loop predictor, BTB, seen sets) capture and restore
 pass storage **by reference** — a restored system and the snapshot's
 source share those tables. Capture is therefore free, and a snapshot
 that is restored into exactly one system needs no copy at all (a
-decoded checkpoint). Three ways out of the sharing, one per use:
+decoded checkpoint). Two ways out of the sharing, one per use:
 
 * :meth:`WarmState.copy` serves in-process hand-offs: C-level list,
   ``bytearray``, dict and set copies of every table, no serialization.
   The sampled simulator hands each measurement machine a copy while
   its warming machine keeps (and walks on with) its own tables.
-* :meth:`WarmState.to_dict` deep-copies into JSON primitives. It is
-  the form tests compare; :meth:`WarmState.from_dict` rebuilds a
-  snapshot whose storage is fresh.
 * :func:`repro.sampling.checkpoints.encode_state` packs a snapshot for
-  the on-disk checkpoint store without copying it first.
+  the on-disk checkpoint store without copying it first, and
+  :func:`~repro.sampling.checkpoints.decode_state` rebuilds one with
+  fresh storage.
+
+Every table is a plain ``dict``, ``list``, ``set`` or ``bytearray``, so
+two snapshots compare with ``==`` (the dataclass equality), whichever
+of capture, :meth:`WarmState.copy` or a decode produced them.
 
 Cache state is sparse: a cache snapshot carries its geometry (``sets``
 and ``ways``), a dict from each *filled* set's index to its valid lines
@@ -40,22 +43,14 @@ never held a line costs nothing to capture, copy, encode, decode or
 restore; of the 131,840 sets a fig07 + fig10 sweep's checkpoints
 describe (UA and CG at scale 0.5), 98,957 hold no line. PLRU bits and
 FIFO pointers stay one dense row or cell per set.
-:meth:`WarmState.to_dict` renders the sparse tables dense (a
-``ways``-long row per set, ``None`` for an invalid way or an untouched
-set's order), which :meth:`WarmState.from_dict` reads back into sparse
-ones.
 
 The gshare counter table is a ``bytearray`` (one byte per 2-bit
 counter), shared by reference like the other tables; the warmer's
 :func:`~repro.sampling.warmer.lru_walk` writes it in place.
-:meth:`WarmState.to_dict` renders it as a list of ints, and restoring a
-list (a :meth:`WarmState.from_dict` snapshot) converts it back to a
-``bytearray`` once.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
@@ -70,9 +65,14 @@ class WarmState:
     Attributes:
         machine: registry name of the producing machine model; a
             snapshot never restores into a different model.
-        config_label: design-point label of the producing configuration;
-            shapes are validated structure by structure on restore, the
-            label catches whole-design mismatches early.
+        config_label: design-point label of the producing configuration
+            (named in error messages).
+        shape: warm-shape digest of the producing system (see
+            :func:`repro.machine.system.warm_shape_digest`): a hash over
+            exactly the structural parameters the snapshot depends on.
+            Two design points with equal digests hold interchangeable
+            warm state even when their timing parameters differ — the
+            property the checkpoint store keys on.
         cores: per-core state: line buffers plus indices into
             :attr:`predictors` / :attr:`itlbs` (group-shared structures
             are captured once and referenced by every member core).
@@ -81,60 +81,15 @@ class WarmState:
         itlbs: unique iTLB snapshots, in core order of first appearance.
         groups: per-cache-group state: L1I and L2 snapshots, in topology
             order.
-        shape: warm-shape digest of the producing system (see
-            :func:`repro.machine.system.warm_shape_digest`): a hash over
-            exactly the structural parameters the snapshot depends on.
-            Two design points with equal digests hold interchangeable
-            warm state even when their timing parameters differ — the
-            property the checkpoint store keys on. Empty on legacy
-            payloads, in which case restore falls back to comparing
-            design-point labels.
     """
 
     machine: str
     config_label: str
+    shape: str
     cores: list[dict] = field(default_factory=list)
     predictors: list[dict] = field(default_factory=list)
     itlbs: list[dict] = field(default_factory=list)
     groups: list[dict] = field(default_factory=list)
-    shape: str = ""
-
-    def to_dict(self) -> dict:
-        """Deep-copied, JSON-primitive form of the snapshot.
-
-        The result shares no storage with any simulated machine, so it
-        can be persisted or compared while simulation continues. Live
-        sets (the compulsory-miss classifiers, captured by reference)
-        serialize as sorted lists, so equal states render identically;
-        the gshare ``bytearray`` serializes as a list of ints, and the
-        sparse cache tables as dense rows (see the module docstring).
-        """
-
-        def jsonable(value):
-            if isinstance(value, (set, frozenset)):
-                return sorted(value)
-            if isinstance(value, bytearray):
-                return list(value)
-            raise TypeError(f"not JSON-serialisable: {type(value)}")
-
-        return json.loads(
-            json.dumps(
-                {
-                    "machine": self.machine,
-                    "config_label": self.config_label,
-                    "cores": self.cores,
-                    "predictors": self.predictors,
-                    "itlbs": self.itlbs,
-                    "groups": [
-                        {name: _dense_cache(cache)
-                         for name, cache in group.items()}
-                        for group in self.groups
-                    ],
-                    "shape": self.shape,
-                },
-                default=jsonable,
-            )
-        )
 
     def copy(self) -> WarmState:
         """A snapshot with the same content and storage of its own.
@@ -143,13 +98,13 @@ class WarmState:
         call per list (a row at a time for the per-set tables, filled
         or touched sets only for the sparse ones), the gshare
         ``bytearray`` and the seen sets are copied whole, and scalars
-        are shared. Restoring the copy never couples the
-        restored system to this snapshot's source, and
-        ``copy().to_dict() == to_dict()``.
+        are shared. Restoring the copy never couples the restored
+        system to this snapshot's source, and ``copy() == self``.
         """
         return WarmState(
             machine=self.machine,
             config_label=self.config_label,
+            shape=self.shape,
             cores=[
                 {
                     "line_buffers": {
@@ -189,68 +144,27 @@ class WarmState:
                  "l2": _copy_cache(group["l2"])}
                 for group in self.groups
             ],
-            shape=self.shape,
         )
 
-    @classmethod
-    def from_dict(cls, data: dict) -> WarmState:
-        """Rebuild a snapshot from :meth:`to_dict` output.
-
-        The payload is deep-copied (one JSON round trip), so the
-        snapshot owns fresh storage: restoring it never couples a
-        system to the caller's dict, matching the docstring promise of
-        :meth:`to_dict`. Dense cache rows are read back into sparse
-        ones.
-        """
-        try:
-            data = json.loads(json.dumps(data))
-            return cls(
-                machine=data["machine"],
-                config_label=data["config_label"],
-                cores=list(data["cores"]),
-                predictors=list(data["predictors"]),
-                itlbs=list(data["itlbs"]),
-                groups=[
-                    {name: _sparse_cache(cache)
-                     for name, cache in group.items()}
-                    for group in data["groups"]
-                ],
-                shape=data.get("shape", ""),
-            )
-        except (KeyError, TypeError, AttributeError, IndexError) as exc:
-            raise ConfigurationError(
-                f"malformed warm-state payload: {exc}"
-            ) from exc
-
     def check_compatible(
-        self, machine: str, config_label: str, shape: str = ""
+        self, machine: str, config_label: str, shape: str
     ) -> None:
-        """Refuse to restore into a different machine or design point.
+        """Refuse to restore into a different machine or warm shape.
 
-        When both the snapshot and the target carry a warm-shape digest
-        the comparison is structural: any two design points with equal
-        digests are interchangeable (their timing parameters may
-        differ). Legacy snapshots without a digest fall back to the
-        stricter design-point-label comparison.
+        The comparison is structural: any two design points with equal
+        warm-shape digests are interchangeable (their timing parameters
+        may differ).
         """
         if self.machine != machine:
             raise ConfigurationError(
                 f"warm state was captured on machine {self.machine!r}, "
                 f"cannot restore into {machine!r}"
             )
-        if self.shape and shape:
-            if self.shape != shape:
-                raise ConfigurationError(
-                    f"warm state was captured on design point "
-                    f"{self.config_label!r} (shape {self.shape}), "
-                    f"cannot restore into {config_label!r} "
-                    f"(shape {shape})"
-                )
-        elif self.config_label != config_label:
+        if self.shape != shape:
             raise ConfigurationError(
                 f"warm state was captured on design point "
-                f"{self.config_label!r}, cannot restore into "
-                f"{config_label!r}"
+                f"{self.config_label!r} (shape {self.shape}), "
+                f"cannot restore into {config_label!r} (shape {shape})"
             )
 
 
@@ -282,56 +196,4 @@ def _copy_cache(state: dict) -> dict:
         "replacement": state["replacement"],
         "policy": policy,
         "seen": set(state["seen"]),
-    }
-
-
-# -- the dense form of a cache snapshot -------------------------------------
-
-
-def _dense_cache(state: dict) -> dict:
-    """A cache snapshot with ``ways``-long tag rows for every set
-    (``None`` for an invalid way) and, under LRU, an order row per set
-    (``None`` for an untouched one)."""
-    sets, ways = state["sets"], state["ways"]
-    tags: list[list[int | None]] = [[None] * ways for _ in range(sets)]
-    for index, row in state["tags"].items():
-        tags[index][:len(row)] = row
-    policy = state["policy"]
-    if type(policy) is dict:
-        policy = [policy.get(index) for index in range(sets)]
-    return {
-        "tags": tags,
-        "replacement": state["replacement"],
-        "policy": policy,
-        "seen": state["seen"],
-    }
-
-
-def _sparse_cache(state: dict) -> dict:
-    """The inverse of :func:`_dense_cache`: geometry from the dense
-    rows, a row per filled set and an order per touched LRU set."""
-    tags = state["tags"]
-    rows: dict[int, list[int]] = {}
-    for index, row in enumerate(tags):
-        lines = [line for line in row if line is not None]
-        if lines != row[:len(lines)]:
-            raise ConfigurationError(
-                f"cache tag row {index} holds an invalid way before a line"
-            )
-        if lines:
-            rows[index] = lines
-    policy = state["policy"]
-    if state["replacement"] == "lru":
-        policy = {
-            index: order
-            for index, order in enumerate(policy)
-            if order is not None
-        }
-    return {
-        "sets": len(tags),
-        "ways": len(tags[0]),
-        "tags": rows,
-        "replacement": state["replacement"],
-        "policy": policy,
-        "seen": state["seen"],
     }

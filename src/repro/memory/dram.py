@@ -9,7 +9,7 @@ core frequency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.utils import log2_int, require_positive, require_power_of_two
 
@@ -37,10 +37,6 @@ class DramStats:
     row_hits: int = 0
     row_misses: int = 0
     busy_wait_cycles: int = 0
-
-    @property
-    def row_hit_rate(self) -> float:
-        return self.row_hits / self.accesses if self.accesses else 0.0
 
 
 @dataclass

@@ -8,13 +8,13 @@ lookup, L1I and L2 accesses on misses; per block a fetch-predictor
 training step. :class:`BatchedWarmer` runs every core's span through
 one of two implementations of that walk:
 
-* a core with an LRU L1I and a stock
-  :class:`~repro.branch.gshare.GsharePredictor` — every configuration
-  the experiments sample — takes :func:`lru_walk`, which binds the
-  structures' raw tables to locals once per span and inlines their
-  updates. It replicates only the state-mutating updates (prediction
-  reads and stats counters are not warm state), except the
-  compulsory-miss classifier sets (lines/pages ever seen), which are;
+* a core with an LRU L1I — every configuration the experiments
+  sample — takes :func:`lru_walk`, which binds the structures' raw
+  tables to locals once per span and inlines their updates (the
+  direction predictor is always the paper's gshare). It replicates
+  only the state-mutating updates (prediction reads and stats counters
+  are not warm state), except the compulsory-miss classifier sets
+  (lines/pages ever seen), which are;
 * every other core takes :func:`scalar_walk` itself.
 
 Bit-identity with the scalar walk is a contract, enforced by tests: the
@@ -31,7 +31,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from repro.branch.fetch_predictor import FetchPredictor
-from repro.branch.gshare import GsharePredictor
 from repro.cache.line_buffer import LineBufferSet, LookupState
 from repro.cache.replacement import LruPolicy
 from repro.cache.set_assoc import SetAssociativeCache
@@ -128,16 +127,10 @@ def scalar_walk(
 
 
 def _lru_models(structures: CoreWarmStructures) -> bool:
-    """True when :func:`lru_walk` models this core.
-
-    Strict type checks: a subclass overriding ``update()`` or a
-    non-LRU replacement policy must take the method-call walk to keep
-    bit-identity. The instruction-side L2 is always LRU.
-    """
-    return (
-        type(structures.predictor.direction) is GsharePredictor
-        and type(structures.l1._policy) is LruPolicy
-    )
+    """True when :func:`lru_walk` models this core: its L1I is LRU (a
+    non-LRU policy takes the method-call walk). The instruction-side L2
+    is always LRU."""
+    return type(structures.l1._policy) is LruPolicy
 
 
 def lru_walk(
@@ -145,8 +138,8 @@ def lru_walk(
 ) -> int:
     """Functionally warm ``records[start:end]``; returns blocks walked.
 
-    :func:`scalar_walk` for a core with an LRU L1I and a stock gshare,
-    over the structures' raw tables: per line the iTLB, the line
+    :func:`scalar_walk` for a core with an LRU L1I, over the
+    structures' raw tables: per line the iTLB, the line
     buffers and the LRU L1I/L2 (a set's tag row and recency order
     created on its first fill, as the cache and
     :class:`~repro.cache.replacement.LruPolicy` do); per block the

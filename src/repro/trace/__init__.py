@@ -18,8 +18,6 @@ from repro.trace.records import (
 )
 from repro.trace.stream import ThreadTrace, TraceSet, TraceStream
 from repro.trace.encoding import (
-    decode_thread_trace,
-    encode_thread_trace,
     format_thread_trace,
     open_trace_set,
     parse_thread_trace,
@@ -63,8 +61,6 @@ __all__ = [
     "TraceDirectoryProvider",
     "TraceProvider",
     "capture_trace_set",
-    "decode_thread_trace",
-    "encode_thread_trace",
     "format_thread_trace",
     "open_trace_set",
     "parse_thread_trace",

@@ -3,11 +3,11 @@
 Commands:
 
 * ``dump`` — render a trace set directory or a single thread file
-  (``.trc``, ``.trcz``, ``.trct``) in the human-readable text format;
+  (``.trcz``, ``.trct``) in the human-readable text format;
 * ``index`` — print a ``.trcz`` file's header and chunk index (what the
   seek path uses), without decoding any chunk;
-* ``convert`` — re-encode a trace set directory between ``trc``,
-  ``trcz`` and ``trct`` (chunked sources stream through, O(chunk));
+* ``convert`` — re-encode a trace set directory between ``trcz`` and
+  ``trct`` (chunked sources stream through, O(chunk));
 * ``capture`` — synthesize a benchmark and persist it into a corpus
   tree in the layout ``--event-dir`` resolves.
 """
@@ -23,7 +23,6 @@ from repro.errors import TraceError
 from repro.obs.log import add_log_arguments, setup_from_args
 from repro.trace.chunked import ChunkedThreadReader, LazyThreadTrace
 from repro.trace.encoding import (
-    decode_thread_trace,
     format_thread_trace,
     open_trace_set,
     parse_thread_trace,
@@ -38,8 +37,6 @@ _LOG = logging.getLogger("repro.trace.cli")
 
 def _load_thread(path: Path):
     suffix = path.suffix
-    if suffix == ".trc":
-        return decode_thread_trace(path.read_bytes())
     if suffix == ".trct":
         return parse_thread_trace(path.read_text())
     if suffix == ".trcz":
@@ -133,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     dump = commands.add_parser(
         "dump", help="render a trace set or thread file as text"
     )
-    dump.add_argument("path", help="set directory or .trc/.trcz/.trct file")
+    dump.add_argument("path", help="set directory or .trcz/.trct file")
     dump.set_defaults(handler=_cmd_dump)
 
     index = commands.add_parser(
@@ -149,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     convert.add_argument("destination", help="destination set directory")
     convert.add_argument(
         "--format",
-        choices=("trc", "trcz", "trct"),
+        choices=("trcz", "trct"),
         default="trcz",
         help="destination encoding (default: trcz)",
     )

@@ -1,12 +1,12 @@
 """Streamed, chunked on-disk traces (``.trcz``).
 
-The ``.trc`` binary format materialises a whole thread in memory on both
-ends; billion-instruction captures cannot. This module adds a chunked
-sibling: the same record encoding, deflate-compressed in fixed-size
-record chunks, followed by a footer *chunk index* carrying each chunk's
-file offset, first record index and cumulative instruction count — so a
-reader can seek to any record or instruction position without decoding
-the prefix.
+Billion-instruction captures cannot be materialised a whole thread at
+a time on either end. This format holds a thread's records (the byte
+encoding of :func:`repro.trace.encoding.encode_record`),
+deflate-compressed in fixed-size record chunks, followed by a footer
+*chunk index* carrying each chunk's file offset, first record index and
+cumulative instruction count — so a reader can seek to any record or
+instruction position without decoding the prefix.
 
 File layout (one file per thread)::
 
@@ -518,7 +518,7 @@ class LazyThreadTrace(ThreadTrace):
         return self.reader.total_instructions
 
     def materialize(self) -> ThreadTrace:
-        """An eager in-memory copy (``.trcz`` -> ``.trc`` conversion)."""
+        """An eager in-memory copy of the thread."""
         return ThreadTrace(
             thread_id=self.thread_id, records=list(self.records)
         )
@@ -527,8 +527,8 @@ class LazyThreadTrace(ThreadTrace):
 class StreamedTraceSet(TraceSet):
     """A :class:`TraceSet` of :class:`LazyThreadTrace` threads.
 
-    Carries the directory it was opened from and, when the manifest
-    recorded one, the content fingerprint — pre-seeding the memo
+    Carries the directory it was opened from and the manifest's content
+    fingerprint — pre-seeding the memo
     :func:`repro.trace.fingerprint.trace_fingerprint` consults, so
     checkpoint keys match the in-memory set the files were captured
     from without a decoding pass.
@@ -539,13 +539,12 @@ class StreamedTraceSet(TraceSet):
         benchmark: str,
         threads: list[LazyThreadTrace],
         *,
-        directory: str | Path | None = None,
-        fingerprint: str | None = None,
+        directory: str | Path,
+        fingerprint: str,
     ) -> None:
         super().__init__(benchmark=benchmark, threads=threads)
-        self.directory = Path(directory) if directory is not None else None
-        if fingerprint is not None:
-            self._warm_fingerprint = fingerprint
+        self.directory = Path(directory)
+        self._warm_fingerprint = fingerprint
 
     @property
     def instruction_count(self) -> int:

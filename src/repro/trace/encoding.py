@@ -1,11 +1,14 @@
 """On-disk trace codecs.
 
-Two interchangeable encodings are provided:
+A trace set is one file per thread plus a ``manifest.txt``, mirroring
+the paper's per-thread trace files (Figure 6), in one of two encodings:
 
-* a compact binary format (``.trc``) mirroring the paper's per-thread trace
-  files — one file per thread plus a small set manifest; and
-* a human-readable text format (``.trct``) convenient for debugging and for
-  inspecting what the PinTool-equivalent synthesiser produced.
+* the streamed, chunked binary format (``.trcz``,
+  :mod:`repro.trace.chunked`), which every capture writes; its records
+  use the byte encoding :func:`encode_record` / :func:`decode_record`
+  define here; and
+* a human-readable text format (``.trct``) convenient for debugging and
+  for inspecting what the PinTool-equivalent synthesiser produced.
 
 Both round-trip exactly (verified by property-based tests).
 """
@@ -30,9 +33,6 @@ from repro.trace.records import (
 )
 from repro.trace.stream import ThreadTrace, TraceSet
 
-_MAGIC = b"RITC"
-_VERSION = 1
-
 # Record tags in the binary stream.
 _TAG_BLOCK_NO_BRANCH = 0
 _TAG_BLOCK_BRANCH = 1
@@ -40,7 +40,6 @@ _TAG_SYNC = 2
 _TAG_IPC = 3
 _TAG_END = 4
 
-_HEADER = struct.Struct("<4sHHI")  # magic, version, thread_id, record_count
 _BLOCK = struct.Struct("<QI")  # address, instruction_count
 _BRANCH = struct.Struct("<BBQ")  # kind, taken, target
 _SYNC = struct.Struct("<BI")  # kind, object_id
@@ -50,15 +49,6 @@ _IPC = struct.Struct("<d")  # ipc
 #: Enum call, and decode runs once per record of every streamed trace.
 _BRANCH_KINDS = {kind.value: kind for kind in BranchKind}
 _SYNC_KINDS = {kind.value: kind for kind in SyncKind}
-
-
-def encode_thread_trace(trace: ThreadTrace) -> bytes:
-    """Serialise one thread trace to the binary format."""
-    buffer = io.BytesIO()
-    buffer.write(_HEADER.pack(_MAGIC, _VERSION, trace.thread_id, len(trace.records)))
-    for record in trace.records:
-        _encode_record(buffer, record)
-    return buffer.getvalue()
 
 
 def _encode_record(buffer: io.BytesIO, record: TraceRecord) -> None:
@@ -86,27 +76,6 @@ def _encode_record(buffer: io.BytesIO, record: TraceRecord) -> None:
         buffer.write(bytes([_TAG_END]))
     else:  # pragma: no cover - exhaustive union
         raise TraceFormatError(f"cannot encode record of type {type(record).__name__}")
-
-
-def decode_thread_trace(data: bytes) -> ThreadTrace:
-    """Deserialise one thread trace from the binary format."""
-    if len(data) < _HEADER.size:
-        raise TraceFormatError("trace shorter than header")
-    magic, version, thread_id, record_count = _HEADER.unpack_from(data, 0)
-    if magic != _MAGIC:
-        raise TraceFormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-    if version != _VERSION:
-        raise TraceFormatError(f"unsupported trace version {version}")
-    offset = _HEADER.size
-    records: list[TraceRecord] = []
-    for _ in range(record_count):
-        record, offset = _decode_record(data, offset)
-        records.append(record)
-    if offset != len(data):
-        raise TraceFormatError(
-            f"{len(data) - offset} trailing bytes after {record_count} records"
-        )
-    return ThreadTrace(thread_id=thread_id, records=records)
 
 
 def _decode_record(data: bytes, offset: int) -> tuple[TraceRecord, int]:
@@ -142,42 +111,36 @@ def _decode_record(data: bytes, offset: int) -> tuple[TraceRecord, int]:
     raise TraceFormatError(f"unknown record tag {tag}")
 
 
-# The chunked codec shares the record-level encoding: a ``.trcz`` chunk
-# is a deflate-compressed run of exactly these byte sequences.
+# The chunked codec's record-level encoding: a ``.trcz`` chunk is a
+# deflate-compressed run of exactly these byte sequences.
 encode_record = _encode_record
 decode_record = _decode_record
 
 
-#: Metadata keys a manifest may carry ahead of its file list. Legacy
-#: manifests (benchmark + threads only) predate ``format`` and
-#: ``fingerprint``; readers treat both as optional.
-_MANIFEST_KEYS = frozenset({"benchmark", "threads", "format", "fingerprint"})
-_SET_FORMATS = ("trc", "trcz", "trct")
+#: The metadata keys every manifest carries ahead of its file list.
+_MANIFEST_KEYS = ("benchmark", "threads", "format", "fingerprint")
+_SET_FORMATS = ("trcz", "trct")
 
 
 def write_trace_set(
     trace_set: TraceSet,
     directory: str | Path,
     *,
-    chunked: bool = False,
-    fmt: str | None = None,
+    fmt: str = "trcz",
     chunk_records: int | None = None,
 ) -> str:
     """Write one trace file per thread plus a ``manifest.txt``.
 
-    Mirrors the paper's "trace per thread / core" layout (Figure 6).
-    ``chunked=True`` (or ``fmt="trcz"``) selects the streamed chunked
-    format; ``fmt`` may also name ``"trc"`` (eager binary, the default)
-    or ``"trct"`` (text). The set's content fingerprint is computed in
-    the same pass as the encode — streaming sources are written and
+    Mirrors the paper's "trace per thread / core" layout (Figure 6) in
+    the streamed chunked format, or in the text format with
+    ``fmt="trct"``. The set's content fingerprint is computed in the
+    same pass as the encode — streaming sources are written and
     digested without materialising — recorded in the manifest, and
     returned.
     """
     from repro.trace.chunked import DEFAULT_CHUNK_RECORDS, ChunkedTraceWriter
     from repro.trace.fingerprint import thread_digest_parts, trace_fingerprint
 
-    if fmt is None:
-        fmt = "trcz" if chunked else "trc"
     if fmt not in _SET_FORMATS:
         raise TraceFormatError(
             f"unknown trace set format {fmt!r}, expected one of {_SET_FORMATS}"
@@ -221,11 +184,8 @@ def write_trace_set(
     else:
         fingerprint = trace_fingerprint(trace_set)
         for trace in trace_set.threads:
-            file_name = f"thread_{trace.thread_id:03d}.{fmt}"
-            if fmt == "trc":
-                (path / file_name).write_bytes(encode_thread_trace(trace))
-            else:
-                (path / file_name).write_text(format_thread_trace(trace))
+            file_name = f"thread_{trace.thread_id:03d}.trct"
+            (path / file_name).write_text(format_thread_trace(trace))
             file_names.append(file_name)
     manifest = [
         f"benchmark {trace_set.benchmark}",
@@ -238,11 +198,11 @@ def write_trace_set(
     return fingerprint
 
 
-def _parse_manifest(path: Path) -> tuple[str, int, str, str | None, list[str]]:
+def _parse_manifest(path: Path) -> tuple[str, int, str, str, list[str]]:
     """Parse ``manifest.txt`` -> (benchmark, threads, fmt, fingerprint, files).
 
-    Tolerates both the legacy two-key form and unknown future keys;
-    anything that is not a ``key value`` metadata line is a file name.
+    Every :data:`_MANIFEST_KEYS` entry must be present; any line after
+    them that is not a ``key value`` metadata line is a file name.
     """
     manifest_path = path / "manifest.txt"
     if not manifest_path.exists():
@@ -258,8 +218,11 @@ def _parse_manifest(path: Path) -> tuple[str, int, str, str | None, list[str]]:
             meta[key] = value
         else:
             file_names.append(line)
-    if "benchmark" not in meta or "threads" not in meta:
-        raise TraceFormatError(f"malformed manifest in {path}")
+    missing = [key for key in _MANIFEST_KEYS if key not in meta]
+    if missing:
+        raise TraceFormatError(
+            f"malformed manifest in {path}: no {', '.join(missing)}"
+        )
     try:
         thread_count = int(meta["threads"])
     except ValueError as exc:
@@ -268,12 +231,10 @@ def _parse_manifest(path: Path) -> tuple[str, int, str, str | None, list[str]]:
         raise TraceFormatError(
             f"manifest lists {len(file_names)} files for {thread_count} threads"
         )
-    fmt = meta.get("format")
-    if fmt is None:  # legacy manifests: infer from the first file name
-        fmt = Path(file_names[0]).suffix.lstrip(".") if file_names else "trc"
+    fmt = meta["format"]
     if fmt not in _SET_FORMATS:
         raise TraceFormatError(f"unknown trace set format {fmt!r} in {manifest_path}")
-    return meta["benchmark"], thread_count, fmt, meta.get("fingerprint"), file_names
+    return meta["benchmark"], thread_count, fmt, meta["fingerprint"], file_names
 
 
 def read_trace_set(directory: str | Path) -> TraceSet:
@@ -288,16 +249,13 @@ def read_trace_set(directory: str | Path) -> TraceSet:
     benchmark, _, fmt, fingerprint, file_names = _parse_manifest(path)
     threads: list[ThreadTrace] = []
     for file_name in file_names:
-        if fmt == "trc":
-            threads.append(decode_thread_trace((path / file_name).read_bytes()))
-        elif fmt == "trct":
+        if fmt == "trct":
             threads.append(parse_thread_trace((path / file_name).read_text()))
         else:
             reader = ChunkedThreadReader(path / file_name)
             threads.append(LazyThreadTrace(reader).materialize())
     trace_set = TraceSet(benchmark=benchmark, threads=threads)
-    if fingerprint is not None:
-        trace_set._warm_fingerprint = fingerprint
+    trace_set._warm_fingerprint = fingerprint
     return trace_set
 
 
@@ -306,7 +264,7 @@ def open_trace_set(directory: str | Path) -> TraceSet:
 
     ``.trcz`` sets come back as a
     :class:`~repro.trace.chunked.StreamedTraceSet` of lazy file-backed
-    threads (O(chunk) residency); eager formats fall back to
+    threads (O(chunk) residency); text sets fall back to
     :func:`read_trace_set`. Both carry the manifest fingerprint, so
     checkpoint keys match runs made from the in-memory original.
     """

@@ -101,7 +101,7 @@ def capture_trace_set(
     if (destination / "manifest.txt").exists():
         return destination
     scratch = destination.with_name(f"{destination.name}.tmp{os.getpid()}")
-    write_trace_set(traces, scratch, chunked=True, chunk_records=chunk_records)
+    write_trace_set(traces, scratch, chunk_records=chunk_records)
     try:
         os.rename(scratch, destination)
     except OSError:
@@ -165,8 +165,8 @@ class TraceDirectoryProvider:
     1. ``<root>/CG/t9__scale<scale>__seed<seed>/`` — the capture layout;
     2. ``<root>/CG/`` when it is itself a trace set (bare manifest).
 
-    Chunked sets come back streamed (:class:`StreamedTraceSet`); eager
-    formats come back materialised. A resolved set must match the
+    Chunked sets come back streamed (:class:`StreamedTraceSet`); text
+    sets come back materialised. A resolved set must match the
     requested thread count — a silent mismatch would change sync-window
     alignment, so it raises instead.
     """

@@ -3,31 +3,19 @@
 import pytest
 
 from repro.branch import (
-    BimodalPredictor,
     BranchTargetBuffer,
     FetchPredictor,
     GsharePredictor,
     LoopPredictor,
-    TournamentPredictor,
 )
 from repro.trace.records import BranchKind, BranchOutcome
 
 
-class TestBimodal:
-    def test_learns_biased_branch(self):
-        predictor = BimodalPredictor(1024)
-        for _ in range(10):
-            predictor.predict_and_update(0x100, True)
-        assert predictor.predict(0x100)
-        for _ in range(10):
-            predictor.predict_and_update(0x100, False)
-        assert not predictor.predict(0x100)
-
-    def test_accuracy_tracked(self):
-        predictor = BimodalPredictor(1024)
-        for _ in range(100):
-            predictor.predict_and_update(0x200, True)
-        assert predictor.stats.accuracy > 0.95
+def predict_and_update(predictor, address, taken):
+    """Predict, then train; True when the prediction was correct."""
+    correct = predictor.predict(address) == taken
+    predictor.update(address, taken)
+    return correct
 
 
 class TestGshare:
@@ -41,9 +29,9 @@ class TestGshare:
         predictor = GsharePredictor(1024)
         outcomes = [bool(i % 2) for i in range(400)]
         for taken in outcomes[:200]:
-            predictor.predict_and_update(0x300, taken)
+            predict_and_update(predictor, 0x300, taken)
         correct = sum(
-            predictor.predict_and_update(0x300, taken) for taken in outcomes[200:]
+            predict_and_update(predictor, 0x300, taken) for taken in outcomes[200:]
         )
         assert correct > 180
 
@@ -54,7 +42,7 @@ class TestGshare:
         predictor = GsharePredictor(1024)
         outcomes = [rng.random() < 0.5 for _ in range(500)]
         correct = sum(
-            predictor.predict_and_update(0x400, taken) for taken in outcomes
+            predict_and_update(predictor, 0x400, taken) for taken in outcomes
         )
         assert 0.3 < correct / 500 < 0.75  # near chance
 
@@ -95,17 +83,6 @@ class TestLoopPredictor:
         for i in range(12):
             predictor.update(0x700, i != 11)
         assert not predictor.confident(0x700)
-
-
-class TestTournament:
-    def test_chooser_picks_better_component(self):
-        strong = BimodalPredictor(1024)
-        weak = BimodalPredictor(4)  # heavy aliasing
-        predictor = TournamentPredictor(strong, weak)
-        for address in (0x100, 0x104, 0x108, 0x10C):
-            for _ in range(50):
-                predictor.predict_and_update(address, True)
-        assert predictor.stats.accuracy > 0.8
 
 
 class TestBtb:

@@ -646,6 +646,19 @@ class TestJournalForensics:
         (rebuilt,) = store.failed_specs()
         assert rebuilt.benchmark == spec.benchmark
 
+    def test_lines_without_a_machine_are_skipped(self, tmp_path):
+        store = ResultStore(tmp_path / "cache")
+        spec = self._bad_spec()
+        line = {
+            "benchmark": spec.benchmark,
+            "label": spec.config.label(),
+            "config": {"worker_count": spec.config.worker_count},
+            "error": "boom",
+        }
+        store.journal_path.write_text(json.dumps(line) + "\n")
+        assert len(store.journalled_failures()) == 1
+        assert store.failed_specs() == []
+
     def test_prune_preserves_fields_of_kept_entries(self, tmp_path):
         store = self._journal_one_failure(tmp_path / "cache")
         good = _tiny_spec()

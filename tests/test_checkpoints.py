@@ -128,8 +128,7 @@ class TestBatchedWarmer:
             assert blocks > 0
 
             assert (
-                batched.capture_warm_state().to_dict()
-                == scalar.capture_warm_state().to_dict()
+                batched.capture_warm_state() == scalar.capture_warm_state()
             ), variant
 
     def test_batched_walk_survives_a_restore(self):
@@ -152,10 +151,7 @@ class TestBatchedWarmer:
         batched.restore_warm_state(batched.capture_warm_state())
         for interval in intervals[1:]:
             warmer.warm_interval(interval)
-        assert (
-            batched.capture_warm_state().to_dict()
-            == scalar.capture_warm_state().to_dict()
-        )
+        assert batched.capture_warm_state() == scalar.capture_warm_state()
 
 
 class TestWarmerSpanRouting:
@@ -201,8 +197,7 @@ class TestWarmerSpanRouting:
             straight_warmer.warm_interval(interval)
 
         assert (
-            restored.capture_warm_state().to_dict()
-            == straight.capture_warm_state().to_dict()
+            restored.capture_warm_state() == straight.capture_warm_state()
         )
 
 
@@ -677,7 +672,7 @@ class TestDecoderBounds:
         payload = encode_state(state)
         assert json.dumps(encode_state(state)) == json.dumps(payload)
         decoded = decode_state(json.loads(json.dumps(payload)))
-        assert decoded.to_dict() == state.to_dict()
+        assert decoded == state
         assert json.dumps(encode_state(decoded)) == json.dumps(payload)
 
 

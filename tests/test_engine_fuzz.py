@@ -262,7 +262,7 @@ def test_fuzzed_streamed_source_bit_identical(machine, fuzz_seed, tmp_path):
     rng = random.Random((fuzz_seed << 8) ^ _STREAM_SALT[machine])
     config = _DRAWERS[machine](rng)
     traces = _draw_workload(rng, config.core_count)
-    write_trace_set(traces, tmp_path / "set", chunked=True, chunk_records=256)
+    write_trace_set(traces, tmp_path / "set", chunk_records=256)
     streamed = open_trace_set(tmp_path / "set")
     memory = simulate(config, traces, cycle_skip=True)
     disk = simulate(config, streamed, cycle_skip=True)

@@ -3,10 +3,9 @@
 Covers the registry (lookup, config-type resolution, duplicate
 protection), the symmetric-CMP model's topology and serial-IPC replay
 scaling, serialization round-trips for every registered model with
-cross-model rejection, the machine/engine-aware result store (legacy
-acmp entries included), campaign sharding, the interconnect busy-cycle
-batching, and that a finished machine is freed without the cyclic
-garbage collector.
+cross-model rejection, the machine/engine-aware result store, campaign
+sharding, the interconnect busy-cycle batching, and that a finished
+machine is freed without the cyclic garbage collector.
 """
 
 import gc
@@ -205,12 +204,6 @@ class TestCrossModelSerialization:
                         expect_machine=other,
                     )
 
-    def test_legacy_payload_defaults_to_acmp(self, per_model_results):
-        payload = result_to_dict(per_model_results["acmp"])
-        del payload["machine"]  # pre-machine-axis payload
-        rebuilt = result_from_dict(payload, expect_machine="acmp")
-        assert rebuilt.machine == "acmp"
-
 
 def _spec(config, benchmark="CG", **kwargs):
     return RunSpec(benchmark=benchmark, config=config, scale=0.02, **kwargs)
@@ -357,6 +350,14 @@ class TestBusyBatching:
         system.warm_instruction_l2s()
         return SystemSimulator(system)
 
+    @staticmethod
+    def _busy_batched(simulator):
+        """The run's ``kernel.interconnect_busy_batched`` metric."""
+        (metric,) = simulator.run_metrics().select(
+            "kernel.interconnect_busy_batched"
+        )
+        return metric.value
+
     def test_narrow_bus_batches_busy_windows(self):
         # 64 B lines over an 8 B bus occupy a bus for 8 cycles: the
         # interconnect component must sleep across those windows and
@@ -365,10 +366,10 @@ class TestBusyBatching:
             worker_shared_config(bus_count=1, bus_width_bytes=8)
         )
         result = simulator.run()
-        stats = simulator.kernel.stats
-        assert stats.interconnect_busy_batched > 0
+        batched = self._busy_batched(simulator)
+        assert batched > 0
         busy = sum(group.bus_busy_cycles for group in result.cache_groups)
-        assert busy >= stats.interconnect_busy_batched
+        assert busy >= batched
 
     def test_reference_engine_never_batches(self):
         config = worker_shared_config(bus_count=1, bus_width_bytes=8)
@@ -380,14 +381,14 @@ class TestBusyBatching:
         system.warm_instruction_l2s()
         simulator = SystemSimulator(system, cycle_skip=False)
         simulator.run()
-        assert simulator.kernel.stats.interconnect_busy_batched == 0
+        assert self._busy_batched(simulator) == 0
 
     def test_default_width_still_engages(self):
         # Even at the paper's 32 B bus (2-cycle occupancy), draining
         # transfers let the component sleep and settle on wake.
         simulator = self._simulator(worker_shared_config())
         simulator.run()
-        assert simulator.kernel.stats.interconnect_busy_batched > 0
+        assert self._busy_batched(simulator) > 0
 
 
 #: One private, one shared-everything and one banked design point: the

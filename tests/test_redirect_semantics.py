@@ -11,7 +11,7 @@ from random import Random
 
 import pytest
 
-from repro.acmp import baseline_config, simulate, worker_shared_config
+from repro.acmp import baseline_config, simulate
 from repro.errors import WorkloadError
 from repro.trace.records import (
     BasicBlockRecord,

@@ -1,5 +1,6 @@
 """Tests for repro.sampling: plans, slicing, warm state, extrapolation."""
 
+import copy
 import json
 
 import pytest
@@ -11,7 +12,6 @@ from repro.campaign import ResultStore, RunSpec
 from repro.errors import ConfigurationError
 from repro.machine.model import get_model
 from repro.machine.simulator import simulate
-from repro.machine.warm import WarmState
 from repro.sampling import (
     IntervalKind,
     SamplingPlan,
@@ -20,6 +20,7 @@ from repro.sampling import (
     simulate_sampled,
     slice_traces,
 )
+from repro.sampling.checkpoints import decode_state, encode_state
 from repro.scmp import banked_config
 from repro.trace.records import SyncKind, SyncRecord
 from repro.trace.synthesis import synthesize_benchmark
@@ -315,27 +316,31 @@ class TestWarmState:
     )
     def test_snapshot_round_trips_through_json(self, machine, config):
         model, traces, system = _warmed_system(machine, config)
-        captured = system.capture_warm_state().to_dict()
-        rebuilt = WarmState.from_dict(
-            json.loads(json.dumps(captured))  # full JSON round trip
+        captured = system.capture_warm_state()
+        rebuilt = decode_state(
+            json.loads(json.dumps(encode_state(captured)))  # full JSON trip
         )
         fresh = model.build_system(config, traces)
         fresh.restore_warm_state(rebuilt)
-        assert fresh.capture_warm_state().to_dict() == captured
+        assert fresh.capture_warm_state() == captured
+        for core in fresh.cores:  # adopted as decoded, not converted
+            assert type(core.frontend.predictor.direction._counters) is (
+                bytearray
+            )
 
     @pytest.mark.parametrize("policy", ["lru", "plru", "fifo"])
     def test_copy_owns_every_table(self, policy):
-        """``copy()`` renders like its source, and no table of the copy
-        is the source's: mutating each one in turn leaves the source's
-        rendering as it was."""
+        """``copy()`` equals its source, and no table of the copy is the
+        source's: mutating each one in turn leaves the source equal to
+        a deep copy taken before."""
         config = worker_shared_config(
             icache_policy=policy, itlb_enabled=True
         )
         _, _, system = _warmed_system("acmp", config)
         state = system.capture_warm_state()
-        rendered = state.to_dict()
-        copy = state.copy()
-        assert copy.to_dict() == rendered
+        reference = copy.deepcopy(state)
+        clone = state.copy()
+        assert clone == reference
 
         def bump(table, index=0):
             table[index] ^= 1
@@ -347,8 +352,8 @@ class TestWarmState:
                 rows = rows.values()
             return next(row for row in rows if row and row[0] is not None)
 
-        l1, l2 = copy.groups[0]["icache"], copy.groups[0]["l2"]
-        predictor, itlb = copy.predictors[0], copy.itlbs[0]
+        l1, l2 = clone.groups[0]["icache"], clone.groups[0]["l2"]
+        predictor, itlb = clone.predictors[0], clone.itlbs[0]
         mutations = {
             "L1 tag row": lambda: bump(filled(l1["tags"])),
             "L2 tag row": lambda: bump(filled(l2["tags"])),
@@ -360,7 +365,7 @@ class TestWarmState:
             "L1 seen lines": lambda: l1["seen"].add(-64),
             "L2 seen lines": lambda: l2["seen"].add(-64),
             "line buffers": lambda: bump(
-                copy.cores[0]["line_buffers"]["entries"][0]
+                clone.cores[0]["line_buffers"]["entries"][0]
             ),
             "iTLB pages": lambda: bump(itlb["pages"][0], 1),
             "iTLB seen pages": lambda: itlb["seen"].add(-1),
@@ -372,41 +377,8 @@ class TestWarmState:
                 )
         for name, mutate in mutations.items():
             mutate()
-            assert state.to_dict() == rendered, f"copy shares its {name}"
-        assert copy.to_dict() != rendered
-
-    def test_gshare_table_round_trips_as_a_bytearray(self):
-        """``to_dict`` renders the byte-packed gshare table as a list;
-        restoring that list converts it back to a ``bytearray``, and the
-        snapshot reads the same afterwards."""
-        model, traces, system = _warmed_system("acmp", baseline_config())
-        captured = system.capture_warm_state()
-        assert isinstance(
-            captured.predictors[0]["direction"]["counters"], bytearray
-        )
-        rendered = captured.to_dict()
-        assert isinstance(
-            rendered["predictors"][0]["direction"]["counters"], list
-        )
-        fresh = model.build_system(baseline_config(), traces)
-        fresh.restore_warm_state(WarmState.from_dict(rendered))
-        for core in fresh.cores:
-            assert isinstance(
-                core.frontend.predictor.direction._counters, bytearray
-            )
-        assert fresh.capture_warm_state().to_dict() == rendered
-
-    def test_dense_row_with_an_invalid_way_before_a_line_is_rejected(self):
-        """Rows fill from their first way, so a dense row whose line
-        follows an invalid way was not rendered by ``to_dict``: reading
-        it back as a shorter sparse row would shift the line's way."""
-        _, _, system = _warmed_system("acmp", baseline_config())
-        rendered = system.capture_warm_state().to_dict()
-        tags = rendered["groups"][0]["icache"]["tags"]
-        row = next(row for row in tags if row[0] is not None)
-        row[:2] = [None, row[0]]
-        with pytest.raises(ConfigurationError, match="invalid way"):
-            WarmState.from_dict(rendered)
+            assert state == reference, f"copy shares its {name}"
+        assert clone != reference
 
     def test_restore_rejects_other_machine(self):
         acmp_model, traces, system = _warmed_system("acmp", baseline_config())

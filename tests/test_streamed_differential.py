@@ -41,7 +41,7 @@ def sources(tmp_path_factory):
             scale=0.04,
             seed=7,
         )
-        write_trace_set(traces, root / machine, chunked=True, chunk_records=512)
+        write_trace_set(traces, root / machine, chunk_records=512)
         streamed = open_trace_set(root / machine)
         assert isinstance(streamed, StreamedTraceSet)
         pairs[machine] = (traces, streamed)

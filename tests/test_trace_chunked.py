@@ -44,6 +44,12 @@ _branches = st.one_of(
         taken=st.booleans(),
         target=st.integers(min_value=0, max_value=2**40),
     ),
+    st.builds(
+        BranchOutcome,
+        kind=st.just(BranchKind.UNCONDITIONAL),
+        taken=st.just(True),
+        target=st.integers(min_value=0, max_value=2**40),
+    ),
 )
 
 _records = st.one_of(
@@ -399,7 +405,7 @@ class TestStreamedTraceSet:
             ThreadTrace(1, _mixed_records(300, seed=32)),
         ]
         original = TraceSet(benchmark="demo", threads=threads)
-        write_trace_set(original, tmp_path / "set", chunked=True, chunk_records=64)
+        write_trace_set(original, tmp_path / "set", chunk_records=64)
         streamed = open_trace_set(tmp_path / "set")
         assert streamed.benchmark == "demo"
         assert streamed.thread_count == 2

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from repro.errors import TraceFormatError
 from repro.trace.encoding import (
-    decode_thread_trace,
-    encode_thread_trace,
     format_thread_trace,
     parse_thread_trace,
     read_trace_set,
@@ -57,36 +55,6 @@ _records = st.one_of(
     st.builds(IpcRecord, ipc=st.floats(min_value=0.01, max_value=16.0)),
     st.just(EndRecord()),
 )
-
-
-class TestBinaryCodec:
-    @given(st.lists(_records, max_size=100), st.integers(min_value=0, max_value=100))
-    @settings(max_examples=50)
-    def test_roundtrip(self, records, thread_id):
-        trace = ThreadTrace(thread_id=thread_id, records=records)
-        decoded = decode_thread_trace(encode_thread_trace(trace))
-        assert decoded.thread_id == trace.thread_id
-        assert decoded.records == trace.records
-
-    def test_bad_magic_rejected(self):
-        data = encode_thread_trace(ThreadTrace(0, []))
-        with pytest.raises(TraceFormatError, match="magic"):
-            decode_thread_trace(b"XXXX" + data[4:])
-
-    def test_truncated_rejected(self):
-        trace = ThreadTrace(0, [BasicBlockRecord(0x100, 4)])
-        data = encode_thread_trace(trace)
-        with pytest.raises(TraceFormatError):
-            decode_thread_trace(data[:-2])
-
-    def test_trailing_bytes_rejected(self):
-        data = encode_thread_trace(ThreadTrace(0, []))
-        with pytest.raises(TraceFormatError, match="trailing"):
-            decode_thread_trace(data + b"\x00")
-
-    def test_short_header_rejected(self):
-        with pytest.raises(TraceFormatError):
-            decode_thread_trace(b"RI")
 
 
 class TestTextCodec:

@@ -10,13 +10,11 @@ would be silently orphaned.
 
 from pathlib import Path
 
+import pytest
+
+from repro.errors import TraceFormatError
 from repro.trace.chunked import ChunkedThreadReader, write_thread_trace_chunked
-from repro.trace.encoding import (
-    decode_thread_trace,
-    encode_thread_trace,
-    open_trace_set,
-    read_trace_set,
-)
+from repro.trace.encoding import open_trace_set, read_trace_set
 from repro.trace.fingerprint import trace_fingerprint
 from repro.trace.records import (
     BasicBlockRecord,
@@ -27,7 +25,6 @@ from repro.trace.records import (
     SyncKind,
     SyncRecord,
 )
-from repro.trace.stream import ThreadTrace
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "trace_golden"
 
@@ -60,17 +57,6 @@ def golden_records() -> list:
         BasicBlockRecord(0x400140, 11),
         EndRecord(),
     ]
-
-
-class TestGoldenTrc:
-    def test_encode_is_byte_stable(self):
-        trace = ThreadTrace(thread_id=5, records=golden_records())
-        assert encode_thread_trace(trace) == (GOLDEN_DIR / "golden.trc").read_bytes()
-
-    def test_decode_compatibility(self):
-        decoded = decode_thread_trace((GOLDEN_DIR / "golden.trc").read_bytes())
-        assert decoded.thread_id == 5
-        assert decoded.records == golden_records()
 
 
 class TestGoldenTrcz:
@@ -106,14 +92,13 @@ class TestGoldenSet:
         del eager._warm_fingerprint
         assert trace_fingerprint(eager) == GOLDEN_SET_FINGERPRINT
 
-    def test_legacy_manifest_still_parses(self, tmp_path):
-        # Pre-chunked manifests had no format/fingerprint keys.
-        trace = ThreadTrace(thread_id=0, records=golden_records())
-        data = encode_thread_trace(trace)
-        (tmp_path / "thread_000.trc").write_bytes(data)
-        (tmp_path / "manifest.txt").write_text(
-            "benchmark legacy\nthreads 1\nthread_000.trc\n"
+    def test_legacy_manifest_is_rejected(self, tmp_path):
+        # A manifest without format/fingerprint keys is not a trace set.
+        write_thread_trace_chunked(
+            tmp_path / "thread_000.trcz", 0, golden_records()
         )
-        loaded = read_trace_set(tmp_path)
-        assert loaded.benchmark == "legacy"
-        assert loaded.threads[0].records == golden_records()
+        (tmp_path / "manifest.txt").write_text(
+            "benchmark legacy\nthreads 1\nthread_000.trcz\n"
+        )
+        with pytest.raises(TraceFormatError, match="format, fingerprint"):
+            read_trace_set(tmp_path)

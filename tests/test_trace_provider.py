@@ -67,7 +67,7 @@ class TestDirectoryProvider:
         from repro.trace.encoding import write_trace_set
 
         traces = synthesize_benchmark("CG", thread_count=2, scale=0.02, seed=0)
-        write_trace_set(traces, tmp_path / "CG", chunked=True)
+        write_trace_set(traces, tmp_path / "CG")
         loaded = TraceDirectoryProvider(tmp_path).trace_set(
             "CG", thread_count=2
         )
@@ -82,7 +82,7 @@ class TestDirectoryProvider:
         from repro.trace.encoding import write_trace_set
 
         traces = synthesize_benchmark("CG", thread_count=2, scale=0.02, seed=0)
-        write_trace_set(traces, tmp_path / "CG", chunked=True)
+        write_trace_set(traces, tmp_path / "CG")
         with pytest.raises(TraceError, match="holds 2 threads"):
             TraceDirectoryProvider(tmp_path).trace_set("CG", thread_count=5)
 
@@ -104,7 +104,7 @@ class TestStreamValidation:
         from repro.trace.encoding import write_trace_set
 
         traces = synthesize_benchmark("CG", thread_count=3, scale=0.02, seed=2)
-        write_trace_set(traces, tmp_path / "set", chunked=True, chunk_records=64)
+        write_trace_set(traces, tmp_path / "set", chunk_records=64)
         streamed = open_trace_set(tmp_path / "set")
         report = validate_trace_set(streamed)
         reference = validate_trace_set(traces)
@@ -141,18 +141,18 @@ class TestTraceCli:
         index_out = capsys.readouterr().out
         assert "thread 0" in index_out and "chunks" in index_out
 
-        eager = tmp_path / "eager"
+        text = tmp_path / "text"
         assert (
-            trace_main(["convert", str(set_dir), str(eager), "--format", "trc"])
+            trace_main(["convert", str(set_dir), str(text), "--format", "trct"])
             == 0
         )
         rezip = tmp_path / "rezip"
         assert (
-            trace_main(["convert", str(eager), str(rezip), "--format", "trcz"])
+            trace_main(["convert", str(text), str(rezip), "--format", "trcz"])
             == 0
         )
         capsys.readouterr()
-        # Conversion through an eager intermediate is lossless AND
+        # Conversion through a text intermediate is lossless AND
         # byte-stable: re-chunking reproduces the original files.
         for name in ("thread_000.trcz", "thread_001.trcz"):
             assert (rezip / name).read_bytes() == (set_dir / name).read_bytes()
@@ -176,7 +176,7 @@ class TestTraceCli:
     def test_error_paths_exit_nonzero(self, tmp_path, capsys):
         assert trace_main(["index", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
-        assert trace_main(["dump", str(tmp_path / "missing.trc")]) == 1
+        assert trace_main(["dump", str(tmp_path / "missing.trcz")]) == 1
 
 
 class TestCampaignWiring:
